@@ -45,6 +45,12 @@ pub struct BiasRegion {
 /// Tracks the bias mode of device-memory regions and the transitions
 /// between modes.
 ///
+/// Regions are held sorted by start address and never overlap, so every
+/// lookup is a binary search: O(log n) in the number of regions. Defining
+/// regions in increasing address order, as the Fig. 4 reproduction and the
+/// bias daemon do, appends at the end. [`iter`](BiasTable::iter) yields
+/// regions in address order, not in the order they were defined.
+///
 /// # Examples
 ///
 /// ```
@@ -71,33 +77,48 @@ impl BiasTable {
         BiasTable::default()
     }
 
-    /// Defines (or redefines) a region with an initial mode.
+    /// Defines a new region with an initial mode.
     ///
     /// # Panics
     ///
     /// Panics if the range is empty or overlaps an existing region.
     pub fn define_region(&mut self, range: Range<u64>, mode: BiasMode) {
         assert!(range.start < range.end, "bias region must be non-empty");
-        for r in &self.regions {
-            assert!(
-                range.end <= r.range.start || range.start >= r.range.end,
-                "bias regions must not overlap"
-            );
-        }
-        self.regions.push(BiasRegion { range, mode });
+        // Sorted and disjoint: only the two neighbours of the insertion
+        // point can overlap the new range.
+        let i = self
+            .regions
+            .partition_point(|r| r.range.start < range.start);
+        let clear_of_pred = i == 0 || self.regions[i - 1].range.end <= range.start;
+        let clear_of_succ = self
+            .regions
+            .get(i)
+            .is_none_or(|r| range.end <= r.range.start);
+        assert!(
+            clear_of_pred && clear_of_succ,
+            "bias regions must not overlap"
+        );
+        self.regions.insert(i, BiasRegion { range, mode });
+    }
+
+    /// Index of the region containing `addr`: the last region starting at
+    /// or before `addr`, if it extends past it.
+    fn index_of(&self, addr: u64) -> Option<usize> {
+        let i = self
+            .regions
+            .partition_point(|r| r.range.start <= addr)
+            .checked_sub(1)?;
+        (addr < self.regions[i].range.end).then_some(i)
     }
 
     fn region_mut(&mut self, addr: u64) -> Option<&mut BiasRegion> {
-        self.regions.iter_mut().find(|r| r.range.contains(&addr))
+        self.index_of(addr).map(|i| &mut self.regions[i])
     }
 
     /// The mode governing a device-memory byte address.
     pub fn mode_of(&self, addr: u64) -> BiasMode {
-        self.regions
-            .iter()
-            .find(|r| r.range.contains(&addr))
-            .map(|r| r.mode)
-            .unwrap_or(BiasMode::HostBias)
+        self.index_of(addr)
+            .map_or(BiasMode::HostBias, |i| self.regions[i].mode)
     }
 
     /// Switches the region containing `addr` to device bias.
@@ -165,7 +186,7 @@ impl BiasTable {
         (self.flips_to_host, self.switches_to_device)
     }
 
-    /// Iterates over defined regions.
+    /// Iterates over defined regions in address order.
     pub fn iter(&self) -> impl Iterator<Item = &BiasRegion> {
         self.regions.iter()
     }
@@ -234,6 +255,44 @@ mod tests {
         let mut t = BiasTable::new();
         t.define_region(0..4096, BiasMode::HostBias);
         t.define_region(2048..6144, BiasMode::HostBias);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not overlap")]
+    fn overlap_with_successor_rejected() {
+        let mut t = BiasTable::new();
+        t.define_region(4096..8192, BiasMode::HostBias);
+        t.define_region(0..6000, BiasMode::HostBias);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not overlap")]
+    fn enclosing_range_rejected() {
+        let mut t = BiasTable::new();
+        t.define_region(4096..8192, BiasMode::HostBias);
+        t.define_region(0..10000, BiasMode::HostBias);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not overlap")]
+    fn same_start_rejected() {
+        let mut t = BiasTable::new();
+        t.define_region(4096..8192, BiasMode::HostBias);
+        t.define_region(4096..4160, BiasMode::HostBias);
+    }
+
+    #[test]
+    fn adjacent_regions_accepted_in_any_order() {
+        let mut t = BiasTable::new();
+        t.define_region(4096..8192, BiasMode::DeviceBias);
+        t.define_region(0..4096, BiasMode::HostBias);
+        t.define_region(8192..12288, BiasMode::HostBias);
+        assert_eq!(t.mode_of(4095), BiasMode::HostBias);
+        assert_eq!(t.mode_of(4096), BiasMode::DeviceBias);
+        assert_eq!(t.mode_of(8191), BiasMode::DeviceBias);
+        assert_eq!(t.mode_of(8192), BiasMode::HostBias);
+        let starts: Vec<u64> = t.iter().map(|r| r.range.start).collect();
+        assert_eq!(starts, [0, 4096, 8192], "iter is in address order");
     }
 
     #[test]

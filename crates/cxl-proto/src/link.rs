@@ -10,7 +10,6 @@
 //! ×16 (32 GT/s per lane) offers ~40% more raw bandwidth than UPI's 18
 //! lanes at 20 GT/s.
 
-use sim_core::rng::SimRng;
 use sim_core::time::{Duration, Time};
 
 /// One direction of a serial interconnect link.
@@ -32,12 +31,8 @@ pub struct Link {
     header_bytes: u64,
     /// Serialization: when the transmitter frees up.
     tx_free_at: Time,
-    /// Per-message flit-error probability (CRC failure → LLR retry).
-    error_rate: f64,
-    rng: SimRng,
     messages: u64,
     bytes: u64,
-    retries: u64,
 }
 
 impl Link {
@@ -54,32 +49,9 @@ impl Link {
             gbps,
             header_bytes,
             tx_free_at: Time::ZERO,
-            error_rate: 0.0,
-            rng: SimRng::seed_from(0x11A7),
             messages: 0,
             bytes: 0,
-            retries: 0,
         }
-    }
-
-    /// Enables flit-error injection: each message independently suffers a
-    /// CRC failure with probability `rate`, costing a link-layer retry
-    /// (one extra round trip + reserialization), as CXL's LLR recovery
-    /// does. Deterministic per seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not in `[0, 1)`.
-    pub fn with_error_rate(mut self, rate: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&rate), "error rate must be in [0, 1)");
-        self.error_rate = rate;
-        self.rng = SimRng::seed_from(seed);
-        self
-    }
-
-    /// Link-layer retries performed so far.
-    pub fn retries(&self) -> u64 {
-        self.retries
     }
 
     /// The propagation latency per message.
@@ -103,19 +75,10 @@ impl Link {
     pub fn deliver(&mut self, now: Time, bytes: u64) -> Time {
         let start = self.tx_free_at.max(now);
         let ser = self.serialization_time(bytes);
-        let mut arrival = start + ser + self.propagation;
         self.tx_free_at = start + ser;
-        // Link-layer retry (LLR): a NAK returns after the propagation
-        // delay and the flit retransmits.
-        while self.error_rate > 0.0 && self.rng.gen_bool(self.error_rate) {
-            self.retries += 1;
-            let retx_start = self.tx_free_at.max(arrival + self.propagation);
-            self.tx_free_at = retx_start + ser;
-            arrival = self.tx_free_at + self.propagation;
-        }
         self.messages += 1;
         self.bytes += bytes;
-        arrival
+        self.tx_free_at + self.propagation
     }
 
     /// Latency of an unloaded one-way trip for `bytes` (no queueing).
@@ -200,35 +163,6 @@ mod tests {
     fn pcie_port_latency_exceeds_cxl() {
         assert!(pcie5_x16().propagation() > cxl_x16().propagation());
         assert!((pcie5_x32().bandwidth_gbps() / pcie5_x16().bandwidth_gbps() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn error_injection_adds_retry_latency() {
-        let mut clean = Link::new(Duration::from_nanos(30), 56.0, 4);
-        let mut lossy = Link::new(Duration::from_nanos(30), 56.0, 4).with_error_rate(0.2, 7);
-        let n = 2_000u64;
-        let mut t_clean = Time::ZERO;
-        let mut t_lossy = Time::ZERO;
-        for _ in 0..n {
-            t_clean = clean.deliver(t_clean, 64);
-            t_lossy = lossy.deliver(t_lossy, 64);
-        }
-        assert!(
-            lossy.retries() > n / 10,
-            "retries happened: {}",
-            lossy.retries()
-        );
-        assert!(
-            t_lossy > t_clean,
-            "lossy link is slower: {t_lossy} vs {t_clean}"
-        );
-        // Deterministic per seed.
-        let mut again = Link::new(Duration::from_nanos(30), 56.0, 4).with_error_rate(0.2, 7);
-        let mut t_again = Time::ZERO;
-        for _ in 0..n {
-            t_again = again.deliver(t_again, 64);
-        }
-        assert_eq!(t_again, t_lossy);
     }
 
     #[test]

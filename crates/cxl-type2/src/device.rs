@@ -1149,11 +1149,13 @@ impl CxlDevice {
         admitted
     }
 
-    /// Emits the bias-flip event (device→host bias, §IV-B) if this H2D
-    /// access exits device bias, then records the access in the table.
+    /// Records this H2D access in the bias table and emits the bias-flip
+    /// event (device→host bias, §IV-B) if the access exited device bias.
     fn h2d_touch_bias(&mut self, addr: LineAddr, at: Time) {
         let off = device_byte_offset(addr);
-        if self.bias.mode_of(off) == BiasMode::DeviceBias {
+        let (flips_before, _) = self.bias.transition_counts();
+        self.bias.on_h2d_access(off);
+        if self.bias.transition_counts().0 != flips_before {
             trace::emit(
                 at,
                 TraceEvent::BiasSwitch {
@@ -1162,7 +1164,6 @@ impl CxlDevice {
                 },
             );
         }
-        self.bias.on_h2d_access(off);
     }
 
     /// Host temporal load (`ld`) from device memory.
