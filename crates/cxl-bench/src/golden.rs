@@ -33,17 +33,10 @@ pub fn case_slug(req: RequestType, case: &str) -> String {
 ///
 /// Replaces any tracer previously installed on this thread.
 pub fn table3_case_trace(req: RequestType, case: &str) -> Vec<TimedEvent> {
-    let mut host = Socket::xeon_6538y();
-    let mut dev = CxlDevice::agilex7();
-    let a = host_line((1u64 << 24) + 64);
-    trace::install(4096);
-    stage_table3_case(&mut host, &mut dev, a, case);
-    trace::clear();
-    dev.d2h(req, a, Time::from_nanos(1_000), &mut host);
-    trace::uninstall()
+    run_table3_case(Socket::xeon_6538y(), CxlDevice::agilex7(), req, case).0
 }
 
-/// [`table3_case_trace`] with the platform built from the degenerate
+/// [`table3_case_trace`] with the host and card built from the degenerate
 /// 1-host × 1-device [`TopologySpec`](sim_core::topology::TopologySpec)
 /// instead of the hand-wired constructors. Returns the trace plus the
 /// device's counter snapshot, so invariance tests can pin both: the
@@ -52,30 +45,47 @@ pub fn table3_case_trace_from_spec(
     req: RequestType,
     case: &str,
 ) -> (Vec<TimedEvent>, Vec<(&'static str, u64)>) {
-    use cxl_type2::addr::{hdm_spec, DEFAULT_INTERLEAVE_BYTES};
-    use cxl_type2::platform::Platform;
-    let spec = hdm_spec(1, 1, DEFAULT_INTERLEAVE_BYTES);
-    let Platform { mut host, mut dev } =
-        Platform::from_spec(&spec).expect("the 1x1 spec is statically valid");
+    let (host, dev) = singleton_from_spec();
+    run_table3_case(host, dev, req, case)
+}
+
+/// The device counter snapshot of one legacy-constructed Table III run
+/// (the invariance baseline for [`table3_case_trace_from_spec`]).
+///
+/// Replaces any tracer previously installed on this thread.
+pub fn table3_case_counters(req: RequestType, case: &str) -> Vec<(&'static str, u64)> {
+    run_table3_case(Socket::xeon_6538y(), CxlDevice::agilex7(), req, case).1
+}
+
+/// Stages and runs one Table III case on the given host and card,
+/// returning the D2H access's events and the device counter snapshot.
+fn run_table3_case(
+    mut host: Socket,
+    mut dev: CxlDevice,
+    req: RequestType,
+    case: &str,
+) -> (Vec<TimedEvent>, Vec<(&'static str, u64)>) {
     let a = host_line((1u64 << 24) + 64);
     trace::install(4096);
     stage_table3_case(&mut host, &mut dev, a, case);
     trace::clear();
     dev.d2h(req, a, Time::from_nanos(1_000), &mut host);
     let events = trace::uninstall();
-    let counters = dev.counters().iter().collect();
-    (events, counters)
+    (events, dev.counters().iter().collect())
 }
 
-/// The device counter snapshot of one legacy-constructed Table III run
-/// (the invariance baseline for [`table3_case_trace_from_spec`]).
-pub fn table3_case_counters(req: RequestType, case: &str) -> Vec<(&'static str, u64)> {
-    let mut host = Socket::xeon_6538y();
-    let mut dev = CxlDevice::agilex7();
-    let a = host_line((1u64 << 24) + 64);
-    stage_table3_case(&mut host, &mut dev, a, case);
-    dev.d2h(req, a, Time::from_nanos(1_000), &mut host);
-    dev.counters().iter().collect()
+/// The host and card of the degenerate 1-host × 1-device
+/// [`Fabric`](cxl_type2::fabric::Fabric), built from its topology spec.
+fn singleton_from_spec() -> (Socket, CxlDevice) {
+    use cxl_type2::addr::{hdm_spec, DEFAULT_INTERLEAVE_BYTES};
+    use cxl_type2::fabric::Fabric;
+    let spec = hdm_spec(1, 1, DEFAULT_INTERLEAVE_BYTES);
+    let Fabric {
+        mut hosts,
+        mut devs,
+        ..
+    } = Fabric::from_spec(&spec).expect("the 1x1 spec is statically valid");
+    (hosts.remove(0), devs.remove(0))
 }
 
 /// All 18 Table III (request, case, trace) triples in row order.
@@ -95,31 +105,22 @@ pub fn table3_traces() -> Vec<(RequestType, &'static str, Vec<TimedEvent>)> {
 ///
 /// Replaces any tracer previously installed on this thread.
 pub fn fig7_cxl_zswap_trace(seed: u64) -> Vec<TimedEvent> {
-    let mut rng = SimRng::seed_from(seed);
-    let page = PageContent::Text.generate(&mut rng);
-    let mut host = Socket::xeon_6538y();
-    let mut zswap = Zswap::new(
-        ZswapConfig::kernel_default(64 * PAGE_SIZE as u64),
-        CxlBackend::agilex7(),
-    );
-    trace::install(1 << 16);
-    let _ = zswap.store(SwapKey(7), &page, Time::ZERO, &mut host);
-    trace::uninstall()
+    run_fig7(Socket::xeon_6538y(), CxlDevice::agilex7(), seed)
 }
 
 /// [`fig7_cxl_zswap_trace`] with the backing device built from the
 /// degenerate 1×1 topology spec.
 pub fn fig7_cxl_zswap_trace_from_spec(seed: u64) -> Vec<TimedEvent> {
-    use cxl_type2::addr::{hdm_spec, DEFAULT_INTERLEAVE_BYTES};
-    use cxl_type2::platform::Platform;
-    let spec = hdm_spec(1, 1, DEFAULT_INTERLEAVE_BYTES);
-    let platform = Platform::from_spec(&spec).expect("the 1x1 spec is statically valid");
+    let (host, dev) = singleton_from_spec();
+    run_fig7(host, dev, seed)
+}
+
+fn run_fig7(mut host: Socket, dev: CxlDevice, seed: u64) -> Vec<TimedEvent> {
     let mut rng = SimRng::seed_from(seed);
     let page = PageContent::Text.generate(&mut rng);
-    let mut host = platform.host;
     let mut zswap = Zswap::new(
         ZswapConfig::kernel_default(64 * PAGE_SIZE as u64),
-        CxlBackend::with_device(platform.dev),
+        CxlBackend::with_device(dev),
     );
     trace::install(1 << 16);
     let _ = zswap.store(SwapKey(7), &page, Time::ZERO, &mut host);
