@@ -26,7 +26,6 @@ use host::burst::BurstResult;
 use host::hdm::AddressRouter;
 use host::socket::{Access, Socket};
 use mem_subsys::line::LineAddr;
-use sim_core::port::PortEngine;
 use sim_core::time::{Duration, Time};
 use sim_core::topology::{DeviceId, DeviceKind, Topology, TopologyError, TopologySpec};
 use sim_core::trace::{self, CounterId, CounterRegistry, CounterSlot, Lane, SnoopKind, TraceEvent};
@@ -34,6 +33,7 @@ use sim_core::traffic::FlowSpec;
 
 use crate::addr::{self, is_device_addr, DEFAULT_INTERLEAVE_BYTES};
 use crate::device::{CxlDevice, DeviceAccess, H2dOp};
+use crate::lsu::{burst_result, with_scratch_engine};
 
 /// Static per-device counter keys (`CounterRegistry` wants `&'static
 /// str`); devices past the table share the last slot.
@@ -453,45 +453,36 @@ impl Fabric {
                 (id.0 as usize, local)
             })
             .collect();
-        let mut engine: PortEngine<usize> = PortEngine::new();
-        let mut ports = Vec::with_capacity(self.devs.len());
-        for dev in &self.devs {
-            let per_slice = mlp.min(dev.timing.dcoh_slice_outstanding);
-            let dev_ports: Vec<_> = dev
-                .slice_ports()
-                .into_iter()
-                .map(|mut spec| {
-                    spec.max_outstanding = spec.max_outstanding.min(per_slice);
-                    engine.add_port(spec)
-                })
-                .collect();
-            ports.push(dev_ports);
-        }
-        for (i, &(d, local)) in routed.iter().enumerate() {
-            engine.submit(ports[d][self.devs[d].slice_of(local)], start, i);
-        }
         let hosts = &mut self.hosts;
         let devs = &mut self.devs;
-        let done = engine.run(|_, &i, t| {
-            let (d, local) = routed[i];
-            devs[d].d2d(req, local, t, &mut hosts[0]).completion
+        let done = with_scratch_engine(|engine| {
+            let ports: Vec<Vec<_>> = devs
+                .iter()
+                .map(|dev| {
+                    let per_slice = mlp.min(dev.timing.dcoh_slice_outstanding);
+                    dev.slice_ports()
+                        .into_iter()
+                        .map(|mut spec| {
+                            spec.max_outstanding = spec.max_outstanding.min(per_slice);
+                            engine.add_port(spec)
+                        })
+                        .collect()
+                })
+                .collect();
+            for (i, &(d, local)) in routed.iter().enumerate() {
+                engine.submit(ports[d][devs[d].slice_of(local)], start, i);
+            }
+            engine.run(|_, &i, t| {
+                let (d, local) = routed[i];
+                devs[d].d2d(req, local, t, &mut hosts[0]).completion
+            })
         });
-        let mut per_device_lines = vec![0u64; self.devs.len()];
-        let mut first_issue = done.first().map(|c| c.issued).unwrap_or(start);
-        let mut last_completion = start;
-        let mut latencies = vec![Duration::ZERO; lines.len()];
-        for c in &done {
-            first_issue = first_issue.min(c.issued);
-            latencies[c.payload] = c.completed.duration_since(c.issued);
-            last_completion = last_completion.max(c.completed);
-            per_device_lines[routed[c.payload].0] += 1;
+        let mut per_device_lines = vec![0u64; devs.len()];
+        for &(d, _) in &routed {
+            per_device_lines[d] += 1;
         }
         FabricBurst {
-            result: BurstResult {
-                first_issue,
-                last_completion,
-                latencies,
-            },
+            result: burst_result(&done, start, lines.len()),
             per_device_lines,
         }
     }

@@ -7,12 +7,14 @@
 //! [`CxlDevice`], with the FPGA's 400 MHz issue
 //! rate and bounded request window.
 
+use std::cell::RefCell;
+
 use cxl_proto::request::RequestType;
 use host::burst::{run_burst, BurstResult, BurstSpec};
 use host::socket::Socket;
 use mem_subsys::line::LineAddr;
-use sim_core::port::PortEngine;
-use sim_core::time::Time;
+use sim_core::port::{Completion, PortEngine};
+use sim_core::time::{Duration, Time};
 use sim_core::trace::{self, Lane, TraceEvent};
 
 use crate::device::CxlDevice;
@@ -126,16 +128,7 @@ impl Lsu {
                 lines: addrs.len() as u64,
             },
         );
-        // One scratch engine per thread, reset between bursts: repeated
-        // bursts (the Fig. 4 reps) reuse the transaction arena and the
-        // engine's calendar-queue buckets instead of reallocating them.
-        thread_local! {
-            static BURST_ENGINE: std::cell::RefCell<PortEngine<usize>> =
-                std::cell::RefCell::new(PortEngine::new());
-        }
-        let done = BURST_ENGINE.with(|cell| {
-            let mut engine = cell.borrow_mut();
-            engine.reset();
+        let done = with_scratch_engine(|engine| {
             let per_slice = mlp.min(dev.timing.dcoh_slice_outstanding);
             let ports: Vec<_> = dev
                 .slice_ports()
@@ -154,19 +147,7 @@ impl Lsu {
                 BurstTarget::DeviceMemory => dev.d2d(req, addrs[i], t, host).completion,
             })
         });
-        let mut first_issue = done.first().map(|c| c.issued).unwrap_or(start);
-        let mut last_completion = start;
-        let mut latencies = vec![sim_core::time::Duration::ZERO; addrs.len()];
-        for c in &done {
-            first_issue = first_issue.min(c.issued);
-            latencies[c.payload] = c.completed.duration_since(c.issued);
-            last_completion = last_completion.max(c.completed);
-        }
-        BurstResult {
-            first_issue,
-            last_completion,
-            latencies,
-        }
+        burst_result(&done, start, addrs.len())
     }
 
     /// Issues a single access and returns its latency measurement point.
@@ -183,6 +164,39 @@ impl Lsu {
             BurstTarget::HostMemory => dev.d2h(req, addr, now, host).completion,
             BurstTarget::DeviceMemory => dev.d2d(req, addr, now, host).completion,
         }
+    }
+}
+
+/// Runs `f` on this thread's scratch engine, reset first: repeated
+/// concurrent bursts (the Fig. 4 reps, the fabric store streams) reuse
+/// the transaction arena and the engine's calendar-queue buckets instead
+/// of reallocating them.
+pub(crate) fn with_scratch_engine<R>(f: impl FnOnce(&mut PortEngine<usize>) -> R) -> R {
+    thread_local! {
+        static ENGINE: RefCell<PortEngine<usize>> = RefCell::new(PortEngine::new());
+    }
+    ENGINE.with(|cell| {
+        let mut engine = cell.borrow_mut();
+        engine.reset();
+        f(&mut engine)
+    })
+}
+
+/// Folds the completions of a burst whose payloads are request indices
+/// `0..n` into a [`BurstResult`].
+pub(crate) fn burst_result(done: &[Completion<usize>], start: Time, n: usize) -> BurstResult {
+    let mut first_issue = done.first().map(|c| c.issued).unwrap_or(start);
+    let mut last_completion = start;
+    let mut latencies = vec![Duration::ZERO; n];
+    for c in done {
+        first_issue = first_issue.min(c.issued);
+        latencies[c.payload] = c.completed.duration_since(c.issued);
+        last_completion = last_completion.max(c.completed);
+    }
+    BurstResult {
+        first_issue,
+        last_completion,
+        latencies,
     }
 }
 

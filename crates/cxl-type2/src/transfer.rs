@@ -8,7 +8,7 @@
 //! (bounded by the 400 MHz issue rate).
 
 use cxl_proto::request::RequestType;
-use host::burst::{run_burst, BurstSpec};
+use host::burst::{burst_last_completion, BurstSpec};
 use host::socket::Socket;
 use mem_subsys::line::{LineAddr, LINE_BYTES};
 use sim_core::time::Time;
@@ -17,6 +17,22 @@ use crate::device::CxlDevice;
 
 fn lines_for(bytes: u64) -> u64 {
     bytes.div_ceil(LINE_BYTES).max(1)
+}
+
+/// An LSU burst of `req` D2H accesses over the lines covering `bytes`
+/// from `start`; returns the last completion.
+fn d2h_bytes(
+    dev: &mut CxlDevice,
+    host: &mut Socket,
+    req: RequestType,
+    start: LineAddr,
+    bytes: u64,
+    now: Time,
+) -> Time {
+    let spec = BurstSpec::from_port(lines_for(bytes) as usize, &dev.lsu_port());
+    burst_last_completion(spec, now, |i, t| {
+        dev.d2h(req, start.offset(i as u64), t, host).completion
+    })
 }
 
 /// H2D write of `bytes` starting at device line `start` using `nt-st`
@@ -29,12 +45,10 @@ pub fn h2d_store_bytes(
     bytes: u64,
     now: Time,
 ) -> Time {
-    let n = lines_for(bytes);
-    let spec = BurstSpec::from_port(n as usize, &host.store_port());
-    let r = run_burst(spec, now, |i, t| {
+    let spec = BurstSpec::from_port(lines_for(bytes) as usize, &host.store_port());
+    burst_last_completion(spec, now, |i, t| {
         dev.h2d_nt_store(start.offset(i as u64), t, host).completion
-    });
-    r.last_completion
+    })
 }
 
 /// H2D read of `bytes` starting at device line `start` using `ld`.
@@ -46,12 +60,10 @@ pub fn h2d_load_bytes(
     bytes: u64,
     now: Time,
 ) -> Time {
-    let n = lines_for(bytes);
-    let spec = BurstSpec::from_port(n as usize, &host.load_port());
-    let r = run_burst(spec, now, |i, t| {
+    let spec = BurstSpec::from_port(lines_for(bytes) as usize, &host.load_port());
+    burst_last_completion(spec, now, |i, t| {
         dev.h2d_load(start.offset(i as u64), t, host).completion
-    });
-    r.last_completion
+    })
 }
 
 /// D2H read of `bytes` of host memory starting at `start`, using NC-read —
@@ -64,13 +76,7 @@ pub fn d2h_read_bytes(
     bytes: u64,
     now: Time,
 ) -> Time {
-    let n = lines_for(bytes);
-    let spec = BurstSpec::from_port(n as usize, &dev.lsu_port());
-    let r = run_burst(spec, now, |i, t| {
-        dev.d2h(RequestType::NC_RD, start.offset(i as u64), t, host)
-            .completion
-    });
-    r.last_completion
+    d2h_bytes(dev, host, RequestType::NC_RD, start, bytes, now)
 }
 
 /// D2H write of `bytes` into host memory starting at `start`, using NC-P
@@ -83,13 +89,7 @@ pub fn d2h_push_bytes(
     bytes: u64,
     now: Time,
 ) -> Time {
-    let n = lines_for(bytes);
-    let spec = BurstSpec::from_port(n as usize, &dev.lsu_port());
-    let r = run_burst(spec, now, |i, t| {
-        dev.d2h(RequestType::NC_P, start.offset(i as u64), t, host)
-            .completion
-    });
-    r.last_completion
+    d2h_bytes(dev, host, RequestType::NC_P, start, bytes, now)
 }
 
 /// D2H write of `bytes` into host memory using NC-write (direct to DRAM,
@@ -101,13 +101,7 @@ pub fn d2h_write_bytes(
     bytes: u64,
     now: Time,
 ) -> Time {
-    let n = lines_for(bytes);
-    let spec = BurstSpec::from_port(n as usize, &dev.lsu_port());
-    let r = run_burst(spec, now, |i, t| {
-        dev.d2h(RequestType::NC_WR, start.offset(i as u64), t, host)
-            .completion
-    });
-    r.last_completion
+    d2h_bytes(dev, host, RequestType::NC_WR, start, bytes, now)
 }
 
 #[cfg(test)]

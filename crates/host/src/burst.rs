@@ -7,14 +7,27 @@
 //! closure under an issue interval and an outstanding-request cap, and
 //! reports the latency/bandwidth figures the paper plots.
 //!
-//! `run_burst` is a thin facade over [`sim_core::port::PortEngine`]: one
-//! in-order port whose window is the LD/ST queue (or LSU request window).
-//! The engine issues in the identical order and at the identical times the
-//! original closed-form loop did, so single-request latencies — and every
-//! figure derived from them — are unchanged; multi-port concurrency is
-//! available by driving the engine directly.
+//! The schedule of one in-order window is closed form. Request `i`
+//! issues at
+//!
+//! ```text
+//! issue_0 = start
+//! issue_i = max(issue_{i-1} + issue_interval, completion_{i-W})   (i ≥ 1)
+//! ```
+//!
+//! where `W` is `max_outstanding` and the completion term applies from
+//! `i = W` on; `access` is called once per request, in index order.
+//! [`burst_last_completion`] walks that recurrence with a `W`-slot ring of
+//! completions kept in thread-local scratch, so a warm burst allocates
+//! nothing. It is exactly what a [`sim_core::port::PortEngine`] with one
+//! [`PortSpec::in_order`] port computes, without the event queue: the
+//! differential property test `closed_form_burst_matches_port_engine`
+//! (`crates/host/tests/proptests.rs`) pins the two call for call. The
+//! engine remains the tool for multi-port and out-of-order bursts.
 
-use sim_core::port::{PortEngine, PortSpec};
+use std::cell::Cell;
+
+use sim_core::port::PortSpec;
 use sim_core::stats::bandwidth_gbps;
 use sim_core::time::{Duration, Time};
 
@@ -106,36 +119,71 @@ impl BurstResult {
 /// let r = run_burst(spec, Time::ZERO, |_, t| t + Duration::from_nanos(100));
 /// assert!(r.elapsed() < Duration::from_nanos(16 * 100));
 /// ```
+///
+/// # Panics
+///
+/// Panics if `access` returns a completion before its issue time.
 pub fn run_burst(
     spec: BurstSpec,
     start: Time,
     mut access: impl FnMut(usize, Time) -> Time,
 ) -> BurstResult {
-    let mut engine: PortEngine<usize> = PortEngine::new();
-    let port = engine.add_port(PortSpec::in_order(
-        "burst",
-        spec.max_outstanding,
-        spec.issue_interval,
-    ));
-    for i in 0..spec.n {
-        engine.submit(port, start, i);
-    }
-    let done = engine.run(|_, &i, issue| access(i, issue));
-    let mut first_issue = start;
-    let mut last_completion = start;
-    let mut latencies = vec![Duration::ZERO; spec.n];
-    for c in &done {
-        if c.payload == 0 {
-            first_issue = c.issued;
-        }
-        latencies[c.payload] = c.completed.duration_since(c.issued);
-        last_completion = last_completion.max(c.completed);
-    }
+    let mut latencies = Vec::with_capacity(spec.n);
+    let last_completion = burst_last_completion(spec, start, |i, issue| {
+        let done = access(i, issue);
+        // Saturating only so the causality assert below owns the panic.
+        latencies.push(done.saturating_duration_since(issue));
+        done
+    });
     BurstResult {
-        first_issue,
+        first_issue: start,
         last_completion,
         latencies,
     }
+}
+
+thread_local! {
+    /// Completion times of the last `max_outstanding` requests, reused
+    /// across bursts. Taken out for the length of a burst, so an `access`
+    /// closure that itself runs a burst gets a ring of its own.
+    static WINDOW: Cell<Vec<Time>> = const { Cell::new(Vec::new()) };
+}
+
+/// [`run_burst`] for callers that need only the completion of the burst
+/// (the sized transfers): the same schedule and the same `access` calls,
+/// returning the latest completion, with no heap allocation once the
+/// thread's window ring has grown to `max_outstanding`.
+///
+/// # Panics
+///
+/// Panics if `access` returns a completion before its issue time.
+pub fn burst_last_completion(
+    spec: BurstSpec,
+    start: Time,
+    mut access: impl FnMut(usize, Time) -> Time,
+) -> Time {
+    let window = spec.max_outstanding;
+    let mut ring = WINDOW.take();
+    ring.clear();
+    ring.resize(window.min(spec.n), Time::ZERO);
+    let mut next_issue = start;
+    let mut last_completion = start;
+    for i in 0..spec.n {
+        // Slot `i % window` still holds request `i - window`'s completion.
+        let slot = i % window;
+        let issue = if i >= window {
+            next_issue.max(ring[slot])
+        } else {
+            next_issue
+        };
+        let done = access(i, issue);
+        assert!(done >= issue, "transaction completed before it was issued");
+        ring[slot] = done;
+        last_completion = last_completion.max(done);
+        next_issue = issue + spec.issue_interval;
+    }
+    WINDOW.set(ring);
+    last_completion
 }
 
 #[cfg(test)]

@@ -1,10 +1,14 @@
-//! Property-based tests for the host cache hierarchy and socket ops.
+//! Property-based tests for the host cache hierarchy, socket ops and the
+//! closed-form burst schedule.
 
+use host::burst::{burst_last_completion, run_burst, BurstResult, BurstSpec};
 use host::hierarchy::CacheHierarchy;
 use host::socket::Socket;
 use mem_subsys::coherence::MesiState;
 use mem_subsys::line::LineAddr;
 use proptest::prelude::*;
+use sim_core::port::{PortEngine, PortSpec};
+use sim_core::rng::SimRng;
 use sim_core::time::{Duration, Time};
 
 #[derive(Debug, Clone, Copy)]
@@ -26,6 +30,76 @@ fn hier_op() -> impl Strategy<Value = HierOp> {
         any::<u16>().prop_map(HierOp::Demote),
         any::<u16>().prop_map(HierOp::DegradeShared),
     ]
+}
+
+/// A stateful backend for the burst differential: each call's latency
+/// comes from a seeded RNG plus a running call counter, and about one call
+/// in five completes the instant it issues.
+fn stateful_access(seed: u64) -> impl FnMut(usize, Time) -> Time {
+    let mut rng = SimRng::seed_from(seed);
+    let mut calls = 0u64;
+    move |_, issue| {
+        calls += 1;
+        if rng.gen_range(5) == 0 {
+            return issue;
+        }
+        issue + Duration::from_nanos(rng.gen_range(300) + calls % 17)
+    }
+}
+
+proptest! {
+    /// The closed-form burst against its oracle, a `PortEngine` with one
+    /// in-order port: the same `(i, issue_time)` backend calls in the same
+    /// order, and the same `BurstResult`.
+    #[test]
+    fn closed_form_burst_matches_port_engine(
+        n in 1usize..300,
+        window in 1usize..80,
+        interval_ns in 0u64..20,
+        start_ns in 0u64..1_000_000,
+        seed in any::<u64>(),
+    ) {
+        let spec = BurstSpec::new(n, Duration::from_nanos(interval_ns), window);
+        let start = Time::from_nanos(start_ns);
+
+        let mut closed_calls = Vec::new();
+        let mut access = stateful_access(seed);
+        let closed = run_burst(spec, start, |i, t| {
+            closed_calls.push((i, t));
+            access(i, t)
+        });
+
+        let mut engine = PortEngine::new();
+        let port = engine.add_port(PortSpec::in_order("burst", window, spec.issue_interval));
+        for i in 0..n {
+            engine.submit(port, start, i);
+        }
+        let mut engine_calls = Vec::new();
+        let mut access = stateful_access(seed);
+        let done = engine.run(|_, &i, t| {
+            engine_calls.push((i, t));
+            access(i, t)
+        });
+        let mut oracle = BurstResult {
+            first_issue: start,
+            last_completion: start,
+            latencies: vec![Duration::ZERO; n],
+        };
+        for c in &done {
+            if c.payload == 0 {
+                oracle.first_issue = c.issued;
+            }
+            oracle.latencies[c.payload] = c.completed.duration_since(c.issued);
+            oracle.last_completion = oracle.last_completion.max(c.completed);
+        }
+
+        prop_assert_eq!(closed_calls, engine_calls);
+        prop_assert_eq!(&closed, &oracle);
+        prop_assert_eq!(
+            burst_last_completion(spec, start, stateful_access(seed)),
+            oracle.last_completion
+        );
+    }
 }
 
 proptest! {

@@ -31,7 +31,7 @@ static KVS_FAULTS: CounterSlot = CounterSlot::new("kvs.faults");
 static KVS_INSERTS: CounterSlot = CounterSlot::new("kvs.inserts");
 static KVS_COW_BREAKS: CounterSlot = CounterSlot::new("kvs.cow_breaks");
 
-use crate::server::{merge_jobs, run_core, Job};
+use crate::server::{run_core, Job};
 use crate::ycsb::{KeyDistribution, Op, YcsbWorkload};
 
 /// Which feature implementation runs (the Fig. 8 series).
@@ -551,7 +551,10 @@ pub fn run_zswap_with_dataset(
 
     let hists: Vec<Histogram> = jobs
         .into_iter()
-        .map(|j| run_core(&merge_jobs(vec![j])).0)
+        .map(|mut j| {
+            j.sort_by_key(|x| x.arrival);
+            run_core(&j).0
+        })
         .collect();
     percentile_report(&hists, feature_cpu, cfg, counters.get("kvs.faults"))
 }
@@ -773,7 +776,10 @@ pub fn run_ksm_with_dataset(
 
     let hists: Vec<Histogram> = jobs
         .into_iter()
-        .map(|j| run_core(&merge_jobs(vec![j])).0)
+        .map(|mut j| {
+            j.sort_by_key(|x| x.arrival);
+            run_core(&j).0
+        })
         .collect();
     percentile_report(&hists, feature_cpu, cfg, 0)
 }
