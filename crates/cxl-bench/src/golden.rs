@@ -7,16 +7,21 @@
 //! produce identical event sequences, so the fixtures under
 //! `tests/golden/` are stable across runs and machines.
 
+use accel::lz::CompressedPage;
+use accel::xxhash::xxh64;
 use cxl_proto::request::RequestType;
 use cxl_type2::addr::host_line;
 use cxl_type2::device::CxlDevice;
 use host::socket::Socket;
-use kernel::offload::CxlBackend;
-use kernel::page::{PageContent, PAGE_SIZE};
+use kernel::offload::{
+    Breakdown, CpuBackend, CxlBackend, OffloadBackend, OffloadOutcome, PcieDmaBackend,
+    PcieRdmaBackend,
+};
+use kernel::page::{PageContent, PageData, PAGE_SIZE};
 use kernel::zswap::{SwapKey, Zswap, ZswapConfig};
 use sim_core::rng::SimRng;
-use sim_core::time::Time;
-use sim_core::trace::{self, TimedEvent};
+use sim_core::time::{Duration, Time};
+use sim_core::trace::{self, BackendId, OffloadFn, TimedEvent};
 
 use crate::tables::{stage_table3_case, TABLE3_CASES};
 
@@ -125,6 +130,143 @@ fn run_fig7(mut host: Socket, dev: CxlDevice, seed: u64) -> Vec<TimedEvent> {
     trace::install(1 << 16);
     let _ = zswap.store(SwapKey(7), &page, Time::ZERO, &mut host);
     trace::uninstall()
+}
+
+/// The four offload backends of Table IV, in table order.
+pub const OFFLOAD_BACKENDS: [BackendId; 4] = [
+    BackendId::Cpu,
+    BackendId::PcieRdma,
+    BackendId::PcieDma,
+    BackendId::Cxl,
+];
+
+/// The four offloadable functions.
+pub const OFFLOAD_FNS: [OffloadFn; 4] = [
+    OffloadFn::Compress,
+    OffloadFn::Decompress,
+    OffloadFn::Checksum,
+    OffloadFn::Compare,
+];
+
+/// One pinned invocation of an offload golden case.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OffloadCall {
+    /// The function result, summarised: compressed/decompressed length
+    /// plus an xxh64 of the bytes, the checksum, or the compare result.
+    pub value: String,
+    /// When the host observes completion.
+    pub completion: Time,
+    /// Host CPU time consumed.
+    pub host_cpu: Duration,
+    /// Table IV step breakdown.
+    pub breakdown: Breakdown,
+}
+
+impl OffloadCall {
+    fn of<T>(out: &OffloadOutcome<T>, value: String) -> Self {
+        OffloadCall {
+            value,
+            completion: out.completion,
+            host_cpu: out.host_cpu,
+            breakdown: out.breakdown,
+        }
+    }
+
+    /// One line with every field in picoseconds, for pinning in tests.
+    pub fn summary(&self) -> String {
+        let b = &self.breakdown;
+        format!(
+            "{} completion={} host_cpu={} breakdown={}/{}/{}/{}/{}",
+            self.value,
+            self.completion.as_picos(),
+            self.host_cpu.as_picos(),
+            b.dispatch.as_picos(),
+            b.transfer_in.as_picos(),
+            b.compute.as_picos(),
+            b.transfer_out.as_picos(),
+            b.total.as_picos(),
+        )
+    }
+}
+
+/// Fixture-name slug of an offload case (`pcie-dma_compare`).
+pub fn offload_slug(backend: BackendId, func: OffloadFn) -> String {
+    format!("{}_{}", backend.as_str(), func.as_str())
+}
+
+fn offload_backend(id: BackendId) -> Box<dyn OffloadBackend> {
+    match id {
+        BackendId::Cpu => Box::new(CpuBackend::new()),
+        BackendId::PcieRdma => Box::new(PcieRdmaBackend::bf3()),
+        BackendId::PcieDma => Box::new(PcieDmaBackend::agilex7()),
+        BackendId::Cxl => Box::new(CxlBackend::agilex7()),
+    }
+}
+
+/// The fixed golden inputs: a Text, a Zero and a Random page.
+fn offload_pages() -> [PageData; 3] {
+    let mut rng = SimRng::seed_from(15);
+    [
+        PageContent::Text.generate(&mut rng),
+        PageContent::Zero.generate(&mut rng),
+        PageContent::Random.generate(&mut rng),
+    ]
+}
+
+fn bytes_summary(bytes: &[u8]) -> String {
+    format!("len={} xxh64={:016x}", bytes.len(), xxh64(bytes, 0))
+}
+
+/// Runs one offload golden case on a fresh backend and host: `func` on
+/// each of the Text/Zero/Random pages back to back (compare instead runs
+/// one equal and one differing pair). Returns every event emitted and
+/// each call's pinned outcome.
+///
+/// Replaces any tracer previously installed on this thread.
+pub fn offload_case(backend: BackendId, func: OffloadFn) -> (Vec<TimedEvent>, Vec<OffloadCall>) {
+    let mut b = offload_backend(backend);
+    let mut host = Socket::xeon_6538y();
+    let pages = offload_pages();
+    let compressed: Vec<CompressedPage> =
+        pages.iter().map(|p| CompressedPage::from_page(p)).collect();
+    let random = &pages[2];
+    let mut differing = random.clone();
+    differing[2048] ^= 0xFF;
+    let mut now = Time::from_nanos(1_000);
+    let mut calls = Vec::new();
+    trace::install(1 << 16);
+    match func {
+        OffloadFn::Compress => {
+            for p in &pages {
+                let out = b.compress(p, now, &mut host);
+                now = out.completion;
+                calls.push(OffloadCall::of(&out, bytes_summary(&out.value.data)));
+            }
+        }
+        OffloadFn::Decompress => {
+            for (cp, p) in compressed.iter().zip(&pages) {
+                let out = b.decompress(cp, now, &mut host);
+                assert_eq!(&out.value, p, "decompress round-trips");
+                now = out.completion;
+                calls.push(OffloadCall::of(&out, bytes_summary(&out.value)));
+            }
+        }
+        OffloadFn::Checksum => {
+            for p in &pages {
+                let out = b.checksum(p, now, &mut host);
+                now = out.completion;
+                calls.push(OffloadCall::of(&out, format!("{:08x}", out.value)));
+            }
+        }
+        OffloadFn::Compare => {
+            for other in [random, &differing] {
+                let out = b.compare(random, other, now, &mut host);
+                now = out.completion;
+                calls.push(OffloadCall::of(&out, format!("{:?}", out.value)));
+            }
+        }
+    }
+    (trace::uninstall(), calls)
 }
 
 #[cfg(test)]
