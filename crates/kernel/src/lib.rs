@@ -45,7 +45,7 @@ pub mod prelude {
     pub use crate::ksm::{Ksm, KsmPageId, KsmStats, ScanOutcome};
     pub use crate::offload::{
         Breakdown, CpuBackend, CxlBackend, OffloadBackend, OffloadOutcome, PcieDmaBackend,
-        PcieRdmaBackend, PooledCxlBackend,
+        PcieRdmaBackend,
     };
     pub use crate::page::{PageContent, PageData, PageMix, PAGE_SIZE};
     pub use crate::reclaim::{MemoryZone, ReclaimOutcome, ReclaimPath, Watermarks};

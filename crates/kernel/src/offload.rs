@@ -16,6 +16,12 @@
 //! Each invocation reports the completion time, the **host CPU time**
 //! consumed (the interference driver of Fig. 8), and the Table IV step
 //! breakdown (② transfer-in, ④ compute, ⑤ transfer-out).
+//!
+//! The strategies compute the same values, so the functions themselves
+//! live once, as the provided methods of [`OffloadBackend`]: each computes
+//! its result, asks the backend's [`OffloadBackend::cost`] for the timing
+//! of that [`Job`], and emits the offload trace steps. A backend supplies
+//! only how the page moves and what the host CPU pays.
 
 use accel::compare::{compare_pages, PageCompare};
 use accel::ip::{pipeline_time, Engine, Function};
@@ -59,13 +65,83 @@ pub struct OffloadOutcome<T> {
     pub breakdown: Breakdown,
 }
 
-/// A backend executing the offloadable data-plane functions.
-pub trait OffloadBackend {
-    /// Short identifier (`cpu`, `pcie-rdma`, `pcie-dma`, `cxl`).
-    fn name(&self) -> &'static str;
+/// One invocation of an offloadable function, as its cost model sees it:
+/// the function and the byte sizes that drive its timing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Job {
+    /// Compress a `page`-byte page into `compressed` bytes.
+    Compress {
+        /// Uncompressed page size.
+        page: u64,
+        /// Compressed size.
+        compressed: u64,
+    },
+    /// Decompress `compressed` bytes back into a `page`-byte page.
+    Decompress {
+        /// Compressed size.
+        compressed: u64,
+        /// Uncompressed page size.
+        page: u64,
+    },
+    /// Checksum a `page`-byte page.
+    Checksum {
+        /// Page size.
+        page: u64,
+    },
+    /// Compare two `page`-byte pages; the comparator stopped after
+    /// `examined` bytes (the first difference, or the whole page).
+    Compare {
+        /// Page size.
+        page: u64,
+        /// Bytes examined before the early exit.
+        examined: u64,
+    },
+}
 
-    /// The compute engine the functions run on.
-    fn engine(&self) -> Engine;
+impl Job {
+    /// The accelerated function.
+    pub(crate) fn function(self) -> Function {
+        match self {
+            Job::Compress { .. } => Function::Compress,
+            Job::Decompress { .. } => Function::Decompress,
+            Job::Checksum { .. } => Function::Checksum,
+            Job::Compare { .. } => Function::Compare,
+        }
+    }
+
+    /// The bytes the function walks where the data already sits: the
+    /// uncompressed page, or the examined prefix of a compare.
+    pub(crate) fn bytes(self) -> u64 {
+        match self {
+            Job::Compress { page, .. } | Job::Decompress { page, .. } | Job::Checksum { page } => {
+                page
+            }
+            Job::Compare { examined, .. } => examined,
+        }
+    }
+}
+
+/// What one [`Job`] costs on a backend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cost {
+    /// When the host observes completion.
+    pub completion: Time,
+    /// Host CPU time consumed.
+    pub host_cpu: Duration,
+    /// Step breakdown.
+    pub breakdown: Breakdown,
+    /// The byte count the offload trace events report.
+    pub traced_bytes: u64,
+}
+
+/// A backend executing the offloadable data-plane functions.
+///
+/// A backend is a cost model: it supplies [`cost`](Self::cost) and the
+/// provided `compress`/`decompress`/`checksum`/`compare` compute each
+/// value once, charge the backend's cost, and emit the offload steps.
+pub trait OffloadBackend {
+    /// The backend's trace identity (`cpu`, `pcie-rdma`, `pcie-dma`, `cxl`).
+    fn id(&self) -> BackendId;
 
     /// True if the zpool lives in device memory (only the CXL backend can
     /// expose device memory to the host transparently, §VI-A).
@@ -73,13 +149,23 @@ pub trait OffloadBackend {
         false
     }
 
+    /// Times one invocation starting at `now`.
+    fn cost(&mut self, job: Job, now: Time, host: &mut Socket) -> Cost;
+
     /// Compresses a page.
     fn compress(
         &mut self,
         page: &[u8],
         now: Time,
         host: &mut Socket,
-    ) -> OffloadOutcome<CompressedPage>;
+    ) -> OffloadOutcome<CompressedPage> {
+        let cp = CompressedPage::from_page(page);
+        let job = Job::Compress {
+            page: page.len() as u64,
+            compressed: cp.compressed_len() as u64,
+        };
+        run(self, job, cp, now, host)
+    }
 
     /// Decompresses a page from the zpool.
     fn decompress(
@@ -87,10 +173,24 @@ pub trait OffloadBackend {
         cp: &CompressedPage,
         now: Time,
         host: &mut Socket,
-    ) -> OffloadOutcome<Vec<u8>>;
+    ) -> OffloadOutcome<Vec<u8>> {
+        let page = cp
+            .decompress()
+            .expect("zpool entries are produced by our own compressor");
+        let job = Job::Decompress {
+            compressed: cp.compressed_len() as u64,
+            page: cp.original_len as u64,
+        };
+        run(self, job, page, now, host)
+    }
 
     /// Computes the ksm page checksum.
-    fn checksum(&mut self, page: &[u8], now: Time, host: &mut Socket) -> OffloadOutcome<u32>;
+    fn checksum(&mut self, page: &[u8], now: Time, host: &mut Socket) -> OffloadOutcome<u32> {
+        let job = Job::Checksum {
+            page: page.len() as u64,
+        };
+        run(self, job, page_checksum(page), now, host)
+    }
 
     /// Byte-compares two pages.
     fn compare(
@@ -99,41 +199,32 @@ pub trait OffloadBackend {
         b: &[u8],
         now: Time,
         host: &mut Socket,
-    ) -> OffloadOutcome<PageCompare>;
-
-    /// Number of devices behind this backend. Single-device backends (the
-    /// default) report 1; a pooled backend fans its zpool out over N
-    /// cards and reports N.
-    fn device_count(&self) -> usize {
-        1
-    }
-
-    /// Selects the device the next operation runs on. `hint` is a caller
-    /// discriminator — a swap-out sequence number spreads stores
-    /// round-robin, a stored entry's device pins its decompression to the
-    /// card holding the compressed bytes. Single-device backends ignore it.
-    fn select_device(&mut self, _hint: u64) {}
-
-    /// Selects the device a *new* store lands on. The default is plain
-    /// [`select_device`](Self::select_device) round-robin; a
-    /// temperature-aware pool overrides this to steer new pages toward
-    /// the coldest device (the adaptive daemon's region temperatures —
-    /// hot devices are busy serving accelerator traffic and should not
-    /// also absorb swap-out). Swap-in stays on `select_device`: it must
-    /// pin to the card that holds the bytes, temperature or not.
-    fn place_store(&mut self, hint: u64) {
-        self.select_device(hint);
-    }
-
-    /// The device selected for the most recent operation.
-    fn last_device(&self) -> u16 {
-        0
+    ) -> OffloadOutcome<PageCompare> {
+        let r = compare_pages(a, b);
+        let job = Job::Compare {
+            page: a.len() as u64,
+            examined: r.bytes_examined(a.len()) as u64,
+        };
+        run(self, job, r, now, host)
     }
 }
 
-fn decompress_or_panic(cp: &CompressedPage) -> Vec<u8> {
-    cp.decompress()
-        .expect("zpool entries are produced by our own compressor")
+/// Charges `job` on `backend`, emits its offload steps and wraps `value`.
+fn run<B: OffloadBackend + ?Sized, T>(
+    backend: &mut B,
+    job: Job,
+    value: T,
+    now: Time,
+    host: &mut Socket,
+) -> OffloadOutcome<T> {
+    let cost = backend.cost(job, now, host);
+    emit_offload_steps(backend.id(), offload_fn(job.function()), now, &cost);
+    OffloadOutcome {
+        value,
+        completion: cost.completion,
+        host_cpu: cost.host_cpu,
+        breakdown: cost.breakdown,
+    }
 }
 
 /// The trace identity of an accelerated function.
@@ -147,18 +238,13 @@ fn offload_fn(f: Function) -> OffloadFn {
 }
 
 /// Emits the five-step offload lifecycle (Table IV's ①②④⑤ plus the
-/// completion) derived from an invocation's [`Breakdown`].
-fn emit_offload_steps(
-    backend: BackendId,
-    func: OffloadFn,
-    bytes: u64,
-    start: Time,
-    b: &Breakdown,
-    completion: Time,
-) {
+/// completion) derived from an invocation's [`Cost`].
+fn emit_offload_steps(backend: BackendId, func: OffloadFn, start: Time, cost: &Cost) {
     if !trace::is_active() {
         return;
     }
+    let b = &cost.breakdown;
+    let bytes = cost.traced_bytes;
     let t1 = start + b.dispatch;
     let t2 = t1 + b.transfer_in;
     let t3 = t2 + b.compute;
@@ -199,7 +285,7 @@ fn emit_offload_steps(
         },
     );
     trace::emit(
-        completion,
+        cost.completion,
         TraceEvent::Offload {
             backend,
             func,
@@ -223,93 +309,81 @@ impl CpuBackend {
     pub fn new() -> Self {
         CpuBackend
     }
+}
 
-    fn run<T>(&self, f: Function, bytes: u64, value: T, now: Time) -> OffloadOutcome<T> {
-        let t = Engine::HostCpu.execution_time(f, bytes);
-        let breakdown = Breakdown {
-            compute: t,
-            total: t,
-            ..Breakdown::default()
-        };
-        emit_offload_steps(
-            BackendId::Cpu,
-            offload_fn(f),
-            bytes,
-            now,
-            &breakdown,
-            now + t,
-        );
-        OffloadOutcome {
-            value,
+impl OffloadBackend for CpuBackend {
+    fn id(&self) -> BackendId {
+        BackendId::Cpu
+    }
+
+    fn cost(&mut self, job: Job, now: Time, _host: &mut Socket) -> Cost {
+        // Early exit: a compare touches only the examined prefix.
+        let t = Engine::HostCpu.execution_time(job.function(), job.bytes());
+        Cost {
             completion: now + t,
             host_cpu: t,
-            breakdown,
+            breakdown: Breakdown {
+                compute: t,
+                total: t,
+                ..Breakdown::default()
+            },
+            traced_bytes: job.bytes(),
         }
     }
 }
 
-impl OffloadBackend for CpuBackend {
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
+// =====================================================================
+// pcie-rdma-* and pcie-dma-*: store-and-forward over PCIe
+// =====================================================================
 
-    fn engine(&self) -> Engine {
-        Engine::HostCpu
-    }
-
-    fn compress(
-        &mut self,
-        page: &[u8],
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<CompressedPage> {
-        self.run(
-            Function::Compress,
-            page.len() as u64,
-            CompressedPage::from_page(page),
-            now,
-        )
-    }
-
-    fn decompress(
-        &mut self,
-        cp: &CompressedPage,
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<Vec<u8>> {
-        self.run(
-            Function::Decompress,
-            cp.original_len as u64,
-            decompress_or_panic(cp),
-            now,
-        )
-    }
-
-    fn checksum(&mut self, page: &[u8], now: Time, _host: &mut Socket) -> OffloadOutcome<u32> {
-        self.run(
-            Function::Checksum,
-            page.len() as u64,
-            page_checksum(page),
-            now,
-        )
-    }
-
-    fn compare(
-        &mut self,
-        a: &[u8],
-        b: &[u8],
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<PageCompare> {
-        let r = compare_pages(a, b);
-        // Early exit: only the examined prefix is touched.
-        self.run(Function::Compare, r.bytes_examined(a.len()) as u64, r, now)
-    }
+/// The store-and-forward offload both PCIe backends share: ① dispatch,
+/// ② the whole input crosses the link, ④ the device computes, ⑤ the
+/// result crosses back and an interrupt completes it. Nothing pipelines.
+#[derive(Debug, Clone)]
+struct StoreAndForward {
+    /// The device-side compute engine.
+    engine: Engine,
+    /// ① posting the descriptor or work request.
+    dispatch: Duration,
+    /// Software overhead added to every transfer.
+    per_transfer: Duration,
+    /// Completion-interrupt delay after the result lands.
+    interrupt: Duration,
+    /// Host CPU of an interrupt-completed page operation (zswap).
+    interrupt_cpu: Duration,
+    /// Host CPU of a polled short operation (the fine-grained ksm
+    /// functions).
+    polled_cpu: Duration,
 }
 
-// =====================================================================
-// pcie-rdma-*: STYX-style BF-3 offload
-// =====================================================================
+impl StoreAndForward {
+    fn cost(&self, job: Job, now: Time, mut transfer: impl FnMut(Time, u64) -> Time) -> Cost {
+        let (in_bytes, out_bytes, host_cpu) = match job {
+            Job::Compress { page, compressed } => (page, compressed, self.interrupt_cpu),
+            Job::Decompress { compressed, page } => (compressed, page, self.interrupt_cpu),
+            Job::Checksum { page } => (page, 8, self.polled_cpu),
+            // Both pages must be transferred.
+            Job::Compare { page, .. } => (2 * page, 8, self.polled_cpu),
+        };
+        let t0 = now + self.dispatch;
+        let t_in_done = transfer(t0, in_bytes) + self.per_transfer;
+        let compute = self.engine.execution_time(job.function(), in_bytes);
+        let t_compute_done = t_in_done + compute;
+        let t_out_done = transfer(t_compute_done, out_bytes) + self.per_transfer + self.interrupt;
+        Cost {
+            completion: t_out_done,
+            host_cpu,
+            breakdown: Breakdown {
+                dispatch: self.dispatch,
+                transfer_in: t_in_done.duration_since(t0),
+                compute,
+                transfer_out: t_out_done.duration_since(t_compute_done),
+                total: t_out_done.duration_since(t0),
+            },
+            traced_bytes: in_bytes,
+        }
+    }
+}
 
 /// Kernel-space RDMA offload to the BF-3's Arm cores (the prior work the
 /// paper reimplements). Store-and-forward: no pipelining; the host pays
@@ -317,289 +391,80 @@ impl OffloadBackend for CpuBackend {
 #[derive(Debug, Clone)]
 pub struct PcieRdmaBackend {
     rdma: RdmaEngine,
-    /// Kernel verbs software overhead per transfer (the ~1300-LoC
-    /// kernel-space RDMA stack of §VII "coding complexity").
-    verb_overhead: Duration,
-    /// Host CPU cost of posting a work request.
-    post_cpu: Duration,
-    /// Host CPU cost of taking the completion interrupt.
-    interrupt_cpu: Duration,
+    path: StoreAndForward,
 }
 
 impl PcieRdmaBackend {
     /// BF-3 defaults.
     pub fn bf3() -> Self {
+        // Kernel verbs software overhead per transfer (the ~1300-LoC
+        // kernel-space RDMA stack of §VII "coding complexity").
+        let verbs = Duration::from_nanos(1_100);
+        let post_cpu = Duration::from_nanos(350);
+        let interrupt = Duration::from_nanos(900);
         PcieRdmaBackend {
             rdma: RdmaEngine::bf3(),
-            verb_overhead: Duration::from_nanos(1_100),
-            post_cpu: Duration::from_nanos(350),
-            interrupt_cpu: Duration::from_nanos(900),
+            path: StoreAndForward {
+                engine: Engine::ArmCore,
+                // Post the work request and ring the doorbell.
+                dispatch: verbs + Duration::from_nanos(200),
+                per_transfer: verbs,
+                interrupt,
+                interrupt_cpu: post_cpu + interrupt,
+                // STYX polls completions for the ksm functions.
+                polled_cpu: post_cpu + Duration::from_nanos(120),
+            },
         }
-    }
-
-    fn run<T>(
-        &mut self,
-        f: Function,
-        in_bytes: u64,
-        out_bytes: u64,
-        value: T,
-        now: Time,
-        host_cpu: Duration,
-    ) -> OffloadOutcome<T> {
-        // ① post the work request (host CPU) and ring the doorbell.
-        let dispatch = self.verb_overhead + Duration::from_nanos(200);
-        let t0 = now + dispatch;
-        // ② NIC RDMA-reads the page(s) from host memory.
-        let t_in_done = self.rdma.transfer(t0, in_bytes) + self.verb_overhead;
-        let transfer_in = t_in_done.duration_since(t0);
-        // ④ Arm core computes.
-        let compute = Engine::ArmCore.execution_time(f, in_bytes);
-        let t_compute_done = t_in_done + compute;
-        // ⑤ RDMA-write the result back to host memory + interrupt.
-        let t_out_done =
-            self.rdma.transfer(t_compute_done, out_bytes) + self.verb_overhead + self.interrupt_cpu;
-        let transfer_out = t_out_done.duration_since(t_compute_done);
-        let breakdown = Breakdown {
-            dispatch,
-            transfer_in,
-            compute,
-            transfer_out,
-            total: t_out_done.duration_since(t0),
-        };
-        emit_offload_steps(
-            BackendId::PcieRdma,
-            offload_fn(f),
-            in_bytes,
-            now,
-            &breakdown,
-            t_out_done,
-        );
-        OffloadOutcome {
-            value,
-            completion: t_out_done,
-            host_cpu,
-            breakdown,
-        }
-    }
-
-    /// Host CPU cost of an interrupt-completed page operation.
-    fn interrupt_cost(&self) -> Duration {
-        self.post_cpu + self.interrupt_cpu
-    }
-
-    /// Host CPU cost of a polled short operation (STYX polls completions
-    /// for the fine-grained ksm functions).
-    fn polled_cost(&self) -> Duration {
-        self.post_cpu + Duration::from_nanos(120)
     }
 }
 
 impl OffloadBackend for PcieRdmaBackend {
-    fn name(&self) -> &'static str {
-        "pcie-rdma"
+    fn id(&self) -> BackendId {
+        BackendId::PcieRdma
     }
 
-    fn engine(&self) -> Engine {
-        Engine::ArmCore
-    }
-
-    fn compress(
-        &mut self,
-        page: &[u8],
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<CompressedPage> {
-        let cp = CompressedPage::from_page(page);
-        let out = cp.compressed_len() as u64;
-        let cost = self.interrupt_cost();
-        self.run(Function::Compress, page.len() as u64, out, cp, now, cost)
-    }
-
-    fn decompress(
-        &mut self,
-        cp: &CompressedPage,
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<Vec<u8>> {
-        let page = decompress_or_panic(cp);
-        let cost = self.interrupt_cost();
-        self.run(
-            Function::Decompress,
-            cp.compressed_len() as u64,
-            cp.original_len as u64,
-            page,
-            now,
-            cost,
-        )
-    }
-
-    fn checksum(&mut self, page: &[u8], now: Time, _host: &mut Socket) -> OffloadOutcome<u32> {
-        let cost = self.polled_cost();
-        self.run(
-            Function::Checksum,
-            page.len() as u64,
-            8,
-            page_checksum(page),
-            now,
-            cost,
-        )
-    }
-
-    fn compare(
-        &mut self,
-        a: &[u8],
-        b: &[u8],
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<PageCompare> {
-        let r = compare_pages(a, b);
-        let cost = self.polled_cost();
-        // Both pages must be transferred.
-        self.run(Function::Compare, 2 * a.len() as u64, 8, r, now, cost)
+    fn cost(&mut self, job: Job, now: Time, _host: &mut Socket) -> Cost {
+        let rdma = &mut self.rdma;
+        self.path.cost(job, now, |t, bytes| rdma.transfer(t, bytes))
     }
 }
-
-// =====================================================================
-// pcie-dma-*: Agilex-7 over plain DMA
-// =====================================================================
 
 /// DMA offload to the Agilex-7's FPGA IPs (the paper emulates this with
 /// the CXL card after matching PCIe-DMA transfer times, §VII).
 #[derive(Debug, Clone)]
 pub struct PcieDmaBackend {
     dma: PcieDma,
-    /// Host CPU cost of descriptor setup per transfer.
-    setup_cpu: Duration,
-    /// Host CPU cost of the completion interrupt.
-    interrupt_cpu: Duration,
+    path: StoreAndForward,
 }
 
 impl PcieDmaBackend {
     /// Agilex-7 multi-channel DMA defaults.
     pub fn agilex7() -> Self {
+        // Host CPU of descriptor setup per transfer.
+        let setup_cpu = Duration::from_nanos(450);
+        let interrupt = Duration::from_nanos(900);
         PcieDmaBackend {
             dma: PcieDma::agilex_mcdma(CompletionModel::Delivered),
-            setup_cpu: Duration::from_nanos(450),
-            interrupt_cpu: Duration::from_nanos(900),
+            path: StoreAndForward {
+                engine: Engine::FpgaIp,
+                dispatch: Duration::from_nanos(350),
+                per_transfer: Duration::ZERO,
+                interrupt,
+                interrupt_cpu: setup_cpu * 2 + interrupt,
+                polled_cpu: setup_cpu + Duration::from_nanos(150),
+            },
         }
-    }
-
-    fn run<T>(
-        &mut self,
-        f: Function,
-        in_bytes: u64,
-        out_bytes: u64,
-        value: T,
-        now: Time,
-        host_cpu: Duration,
-    ) -> OffloadOutcome<T> {
-        // ① descriptor for the inbound DMA.
-        let dispatch = Duration::from_nanos(350);
-        let t0 = now + dispatch;
-        // ② DMA the page(s) to device memory.
-        let t_in_done = self.dma.transfer(t0, in_bytes);
-        let transfer_in = t_in_done.duration_since(t0);
-        // ④ FPGA IP computes.
-        let compute = Engine::FpgaIp.execution_time(f, in_bytes);
-        let t_compute_done = t_in_done + compute;
-        // ⑤ DMA the result back + interrupt.
-        let t_out_done = self.dma.transfer(t_compute_done, out_bytes) + self.interrupt_cpu;
-        let transfer_out = t_out_done.duration_since(t_compute_done);
-        let breakdown = Breakdown {
-            dispatch,
-            transfer_in,
-            compute,
-            transfer_out,
-            total: t_out_done.duration_since(t0),
-        };
-        emit_offload_steps(
-            BackendId::PcieDma,
-            offload_fn(f),
-            in_bytes,
-            now,
-            &breakdown,
-            t_out_done,
-        );
-        OffloadOutcome {
-            value,
-            completion: t_out_done,
-            host_cpu,
-            breakdown,
-        }
-    }
-
-    /// Host CPU cost of an interrupt-completed page operation.
-    fn interrupt_cost(&self) -> Duration {
-        self.setup_cpu * 2 + self.interrupt_cpu
-    }
-
-    /// Host CPU cost of a polled short operation.
-    fn polled_cost(&self) -> Duration {
-        self.setup_cpu + Duration::from_nanos(150)
     }
 }
 
 impl OffloadBackend for PcieDmaBackend {
-    fn name(&self) -> &'static str {
-        "pcie-dma"
+    fn id(&self) -> BackendId {
+        BackendId::PcieDma
     }
 
-    fn engine(&self) -> Engine {
-        Engine::FpgaIp
-    }
-
-    fn compress(
-        &mut self,
-        page: &[u8],
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<CompressedPage> {
-        let cp = CompressedPage::from_page(page);
-        let out = cp.compressed_len() as u64;
-        let cost = self.interrupt_cost();
-        self.run(Function::Compress, page.len() as u64, out, cp, now, cost)
-    }
-
-    fn decompress(
-        &mut self,
-        cp: &CompressedPage,
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<Vec<u8>> {
-        let page = decompress_or_panic(cp);
-        let cost = self.interrupt_cost();
-        self.run(
-            Function::Decompress,
-            cp.compressed_len() as u64,
-            cp.original_len as u64,
-            page,
-            now,
-            cost,
-        )
-    }
-
-    fn checksum(&mut self, page: &[u8], now: Time, _host: &mut Socket) -> OffloadOutcome<u32> {
-        let cost = self.polled_cost();
-        self.run(
-            Function::Checksum,
-            page.len() as u64,
-            8,
-            page_checksum(page),
-            now,
-            cost,
-        )
-    }
-
-    fn compare(
-        &mut self,
-        a: &[u8],
-        b: &[u8],
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<PageCompare> {
-        let r = compare_pages(a, b);
-        let cost = self.polled_cost();
-        self.run(Function::Compare, 2 * a.len() as u64, 8, r, now, cost)
+    fn cost(&mut self, job: Job, now: Time, _host: &mut Socket) -> Cost {
+        let dma = &mut self.dma;
+        self.path.cost(job, now, |t, bytes| dma.transfer(t, bytes))
     }
 }
 
@@ -696,360 +561,91 @@ impl CxlBackend {
         let base = self.alloc_host_lines(bytes.div_ceil(64).max(1));
         d2h_push_bytes(&mut self.dev, host, base, bytes, now).duration_since(now)
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish<T>(
-        &mut self,
-        value: T,
-        start: Time,
-        dispatch_done: Time,
-        dispatch_cpu: Duration,
-        stages: [Duration; 3],
-        pipelined: bool,
-        func: OffloadFn,
-        bytes: u64,
-    ) -> OffloadOutcome<T> {
-        let [transfer_in, compute, transfer_out] = stages;
-        let total = if pipelined {
-            // The IPs stream in coarser chunks than single cache lines
-            // (buffer turnaround), so pipelining overlap is partial.
-            pipeline_time(&stages, 16)
-        } else {
-            transfer_in + compute + transfer_out
-        };
-        let completion = dispatch_done + total;
-        let breakdown = Breakdown {
-            dispatch: dispatch_done.duration_since(start),
-            transfer_in,
-            compute,
-            transfer_out,
-            total,
-        };
-        emit_offload_steps(BackendId::Cxl, func, bytes, start, &breakdown, completion);
-        OffloadOutcome {
-            value,
-            completion,
-            host_cpu: dispatch_cpu + self.mailbox_cpu + self.wakeup_cpu,
-            breakdown,
-        }
-    }
 }
 
 impl OffloadBackend for CxlBackend {
-    fn name(&self) -> &'static str {
-        "cxl"
-    }
-
-    fn engine(&self) -> Engine {
-        Engine::FpgaIp
+    fn id(&self) -> BackendId {
+        BackendId::Cxl
     }
 
     fn zpool_in_device_memory(&self) -> bool {
         true
     }
 
-    fn compress(
-        &mut self,
-        page: &[u8],
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<CompressedPage> {
-        let cp = CompressedPage::from_page(page);
-        let (t0, dcpu) = self.dispatch(now, host);
-        // ② D2H NC-read of the page (lowest-latency D2H read for 4 KiB).
-        let t_in = self.pull_from_host(page.len() as u64, t0, host);
-        // ④ streaming FPGA compression.
-        let t_compute = Engine::FpgaIp.execution_time(Function::Compress, page.len() as u64);
-        // ⑤ D2D NC-write of the compressed page into the device-memory
-        // zpool + result size back to the mailbox.
-        let t_out = self.d2d_bytes(cp.compressed_len() as u64 + 64, true, t0, host);
-        let bytes = page.len() as u64;
-        self.finish(
-            cp,
-            now,
-            t0,
-            dcpu,
-            [t_in, t_compute, t_out],
-            true,
-            OffloadFn::Compress,
-            bytes,
-        )
-    }
-
-    fn decompress(
-        &mut self,
-        cp: &CompressedPage,
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<Vec<u8>> {
-        let page = decompress_or_panic(cp);
-        let (t0, dcpu) = self.dispatch(now, host);
-        // ② D2D CS-read of the compressed page from zpool.
-        let t_in = self.d2d_bytes(cp.compressed_len() as u64, false, t0, host);
-        // ④ streaming decompression.
-        let t_compute = Engine::FpgaIp.execution_time(Function::Decompress, cp.original_len as u64);
-        // ⑤ NC-P the decompressed page into host LLC (Insight 4).
-        let t_out = self.push_to_host(cp.original_len as u64, t0, host);
-        let bytes = cp.compressed_len() as u64;
-        self.finish(
-            page,
-            now,
-            t0,
-            dcpu,
-            [t_in, t_compute, t_out],
-            true,
-            OffloadFn::Decompress,
-            bytes,
-        )
-    }
-
-    fn checksum(&mut self, page: &[u8], now: Time, host: &mut Socket) -> OffloadOutcome<u32> {
-        let v = page_checksum(page);
-        let (t0, dcpu) = self.dispatch(now, host);
-        let t_in = self.pull_from_host(page.len() as u64, t0, host);
-        let t_compute = Engine::FpgaIp.execution_time(Function::Checksum, page.len() as u64);
-        // Checksum needs the whole page before it finishes, so ② and ④ do
-        // not pipeline (§VI-B); the 64 B result NC-Ps back.
-        let t_out = self.push_to_host(8, t0, host);
-        let bytes = page.len() as u64;
-        self.finish(
-            v,
-            now,
-            t0,
-            dcpu,
-            [t_in, t_compute, t_out],
-            false,
-            OffloadFn::Checksum,
-            bytes,
-        )
-    }
-
-    fn compare(
-        &mut self,
-        a: &[u8],
-        b: &[u8],
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<PageCompare> {
-        let r = compare_pages(a, b);
-        let (t0, dcpu) = self.dispatch(now, host);
-        // Early exit: only the examined prefixes transfer and compare.
-        let examined = r.bytes_examined(a.len()) as u64;
-        let t_in = self.pull_from_host(2 * examined, t0, host);
-        let t_compute = Engine::FpgaIp.execution_time(Function::Compare, examined);
-        let t_out = self.push_to_host(8, t0, host);
-        // §VI-B: the comparison pipelines with the transfer.
-        let mut out = self.finish(
-            r,
-            now,
-            t0,
-            dcpu,
-            [t_in, t_compute, t_out],
-            true,
-            OffloadFn::Compare,
-            examined,
-        );
-        // Tree-walk comparisons chain device-side off one mailbox write;
-        // the host is not woken per node.
-        out.host_cpu = Duration::from_nanos(100);
-        out
+    fn cost(&mut self, job: Job, now: Time, host: &mut Socket) -> Cost {
+        let (t0, dispatch_cpu) = self.dispatch(now, host);
+        let (transfer_in, transfer_out, traced_bytes) = match job {
+            Job::Compress { page, compressed } => (
+                // ② D2H NC-read of the page (lowest-latency D2H read for
+                // 4 KiB).
+                self.pull_from_host(page, t0, host),
+                // ⑤ D2D NC-write of the compressed page into the
+                // device-memory zpool + result size back to the mailbox.
+                self.d2d_bytes(compressed + 64, true, t0, host),
+                page,
+            ),
+            Job::Decompress { compressed, page } => (
+                // ② D2D CS-read of the compressed page from zpool.
+                self.d2d_bytes(compressed, false, t0, host),
+                // ⑤ NC-P the decompressed page into host LLC (Insight 4).
+                self.push_to_host(page, t0, host),
+                compressed,
+            ),
+            // The 64 B result NC-Ps back.
+            Job::Checksum { page } => (
+                self.pull_from_host(page, t0, host),
+                self.push_to_host(8, t0, host),
+                page,
+            ),
+            // Early exit: only the examined prefixes transfer and compare.
+            Job::Compare { examined, .. } => (
+                self.pull_from_host(2 * examined, t0, host),
+                self.push_to_host(8, t0, host),
+                examined,
+            ),
+        };
+        // ④ streaming FPGA compute.
+        let compute = Engine::FpgaIp.execution_time(job.function(), job.bytes());
+        let stages = [transfer_in, compute, transfer_out];
+        let total = match job {
+            // Checksum needs the whole page before it finishes, so ② and
+            // ④ do not pipeline (§VI-B).
+            Job::Checksum { .. } => transfer_in + compute + transfer_out,
+            // The IPs stream in coarser chunks than single cache lines
+            // (buffer turnaround), so pipelining overlap is partial.
+            _ => pipeline_time(&stages, 16),
+        };
+        let host_cpu = match job {
+            // Tree-walk comparisons chain device-side off one mailbox
+            // write; the host is not woken per node.
+            Job::Compare { .. } => Duration::from_nanos(100),
+            _ => dispatch_cpu + self.mailbox_cpu + self.wakeup_cpu,
+        };
+        Cost {
+            completion: t0 + total,
+            host_cpu,
+            breakdown: Breakdown {
+                dispatch: t0.duration_since(now),
+                transfer_in,
+                compute,
+                transfer_out,
+                total,
+            },
+            traced_bytes,
+        }
     }
 }
 
 impl OffloadBackend for Box<dyn OffloadBackend> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn engine(&self) -> Engine {
-        (**self).engine()
+    fn id(&self) -> BackendId {
+        (**self).id()
     }
 
     fn zpool_in_device_memory(&self) -> bool {
         (**self).zpool_in_device_memory()
     }
 
-    fn compress(
-        &mut self,
-        page: &[u8],
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<CompressedPage> {
-        (**self).compress(page, now, host)
-    }
-
-    fn decompress(
-        &mut self,
-        cp: &CompressedPage,
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<Vec<u8>> {
-        (**self).decompress(cp, now, host)
-    }
-
-    fn checksum(&mut self, page: &[u8], now: Time, host: &mut Socket) -> OffloadOutcome<u32> {
-        (**self).checksum(page, now, host)
-    }
-
-    fn compare(
-        &mut self,
-        a: &[u8],
-        b: &[u8],
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<PageCompare> {
-        (**self).compare(a, b, now, host)
-    }
-
-    fn device_count(&self) -> usize {
-        (**self).device_count()
-    }
-
-    fn select_device(&mut self, hint: u64) {
-        (**self).select_device(hint)
-    }
-
-    fn place_store(&mut self, hint: u64) {
-        (**self).place_store(hint)
-    }
-
-    fn last_device(&self) -> u16 {
-        (**self).last_device()
-    }
-}
-
-/// The CXL offload path fanned out over N Type-2 cards: one zpool slice
-/// per card, operations routed by [`OffloadBackend::select_device`].
-///
-/// zswap uses the selection hooks to interleave swap-out across the pool
-/// (round-robin by store sequence) and to pin each swap-in to the card
-/// whose zpool slice holds the compressed page. With one card this is
-/// exactly [`CxlBackend`].
-#[derive(Debug)]
-pub struct PooledCxlBackend {
-    backends: Vec<CxlBackend>,
-    current: usize,
-    /// Per-device hotness published by the adaptive bias daemon (mean
-    /// region temperature per card). Empty until the first publish:
-    /// store placement falls back to round-robin.
-    temperatures: Vec<f64>,
-}
-
-impl PooledCxlBackend {
-    /// A pool of `devices` identical Agilex-7 cards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` is zero.
-    pub fn symmetric(devices: usize) -> Self {
-        assert!(devices > 0, "a pool needs at least one device");
-        PooledCxlBackend {
-            backends: (0..devices).map(|_| CxlBackend::agilex7()).collect(),
-            current: 0,
-            temperatures: Vec::new(),
-        }
-    }
-
-    /// A pool over explicit per-card backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backends` is empty.
-    pub fn new(backends: Vec<CxlBackend>) -> Self {
-        assert!(!backends.is_empty(), "a pool needs at least one device");
-        PooledCxlBackend {
-            backends,
-            current: 0,
-            temperatures: Vec::new(),
-        }
-    }
-
-    /// The per-card backends, in device order.
-    pub fn devices(&self) -> &[CxlBackend] {
-        &self.backends
-    }
-
-    /// Publishes per-device hotness from the adaptive bias daemon
-    /// (e.g. the mean of each card's region temperatures). Subsequent
-    /// store placement steers to the coldest card; pass an empty slice
-    /// to return to round-robin.
-    pub fn set_device_temperatures(&mut self, temps: &[f64]) {
-        self.temperatures = temps.to_vec();
-    }
-
-    /// The coldest device by published temperature, ties to the lowest
-    /// id; `None` when no temperatures are published.
-    fn coldest_device(&self) -> Option<usize> {
-        self.temperatures
-            .iter()
-            .take(self.backends.len())
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-    }
-}
-
-impl OffloadBackend for PooledCxlBackend {
-    fn name(&self) -> &'static str {
-        "cxl-pool"
-    }
-
-    fn engine(&self) -> Engine {
-        Engine::FpgaIp
-    }
-
-    fn zpool_in_device_memory(&self) -> bool {
-        true
-    }
-
-    fn compress(
-        &mut self,
-        page: &[u8],
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<CompressedPage> {
-        self.backends[self.current].compress(page, now, host)
-    }
-
-    fn decompress(
-        &mut self,
-        cp: &CompressedPage,
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<Vec<u8>> {
-        self.backends[self.current].decompress(cp, now, host)
-    }
-
-    fn checksum(&mut self, page: &[u8], now: Time, host: &mut Socket) -> OffloadOutcome<u32> {
-        self.backends[self.current].checksum(page, now, host)
-    }
-
-    fn compare(
-        &mut self,
-        a: &[u8],
-        b: &[u8],
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<PageCompare> {
-        self.backends[self.current].compare(a, b, now, host)
-    }
-
-    fn device_count(&self) -> usize {
-        self.backends.len()
-    }
-
-    fn select_device(&mut self, hint: u64) {
-        self.current = (hint as usize) % self.backends.len();
-    }
-
-    fn place_store(&mut self, hint: u64) {
-        match self.coldest_device() {
-            Some(d) => self.current = d,
-            None => self.select_device(hint),
-        }
-    }
-
-    fn last_device(&self) -> u16 {
-        self.current as u16
+    fn cost(&mut self, job: Job, now: Time, host: &mut Socket) -> Cost {
+        (**self).cost(job, now, host)
     }
 }

@@ -170,9 +170,6 @@ enum StoredPage {
 struct ZswapEntry {
     page: StoredPage,
     footprint: u64,
-    /// Which backend device holds this entry's zpool bytes (0 for
-    /// single-device backends and host-side same-filled patterns).
-    device: u16,
 }
 
 /// The zswap frontswap cache over a pluggable offload backend.
@@ -200,8 +197,6 @@ pub struct Zswap<B> {
     entries: HashMap<SwapKey, ZswapEntry>,
     lru: VecDeque<SwapKey>,
     pool_bytes: u64,
-    /// Zpool bytes resident on each backend device; sums to `pool_bytes`.
-    pool_bytes_dev: Vec<u64>,
     swap_dev: SwapDevice,
     disk: HashMap<SwapKey, PageData>,
     stats: ZswapStats,
@@ -216,14 +211,12 @@ pub struct Zswap<B> {
 impl<B: OffloadBackend> Zswap<B> {
     /// Creates a zswap instance.
     pub fn new(config: ZswapConfig, backend: B) -> Self {
-        let pool_bytes_dev = vec![0; backend.device_count().max(1)];
         Zswap {
             config,
             backend,
             entries: HashMap::new(),
             lru: VecDeque::new(),
             pool_bytes: 0,
-            pool_bytes_dev,
             swap_dev: SwapDevice::nvme(),
             disk: HashMap::new(),
             stats: ZswapStats::default(),
@@ -273,35 +266,14 @@ impl<B: OffloadBackend> Zswap<B> {
         counts
     }
 
-    /// Zpool bytes resident on each backend device (index = device id;
-    /// a single slot for single-device backends). Sums to
-    /// [`Zswap::pool_bytes`].
-    pub fn pool_bytes_per_device(&self) -> &[u64] {
-        &self.pool_bytes_dev
-    }
-
-    /// Total zpool capacity: the configured per-device budget times the
-    /// backend's device count, so an N-card pool holds N times as many
-    /// compressed pages before writeback kicks in.
+    /// Total zpool capacity: the configured `max_pool_bytes` budget.
     pub fn pool_capacity_bytes(&self) -> u64 {
-        self.config.max_pool_bytes * self.backend.device_count() as u64
-    }
-
-    fn dev_slot(&mut self, device: u16) -> &mut u64 {
-        let i = (device as usize).min(self.pool_bytes_dev.len() - 1);
-        &mut self.pool_bytes_dev[i]
+        self.config.max_pool_bytes
     }
 
     /// Access to the backend (e.g. to inspect the CXL device).
     pub fn backend(&self) -> &B {
         &self.backend
-    }
-
-    /// Mutable access to the backend — the adaptive bias daemon uses
-    /// this to publish fresh region temperatures between batches so
-    /// store placement tracks device hotness.
-    pub fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
     }
 
     fn footprint(len: usize) -> u64 {
@@ -321,10 +293,8 @@ impl<B: OffloadBackend> Zswap<B> {
                 continue;
             };
             self.pool_bytes -= entry.footprint;
-            *self.dev_slot(entry.device) -= entry.footprint;
             let (page, ready) = match entry.page {
                 StoredPage::Compressed(cp) => {
-                    self.backend.select_device(entry.device as u64);
                     let out = self.backend.decompress(&cp, now, host);
                     cpu += out.host_cpu;
                     (out.value, out.completion)
@@ -373,7 +343,6 @@ impl<B: OffloadBackend> Zswap<B> {
                 let footprint = 64; // one zsmalloc granule
                 let (t, evict_cpu) = self.make_room(footprint, now, host);
                 self.pool_bytes += footprint;
-                *self.dev_slot(0) += footprint;
                 self.stats.pool_bytes_peak = self.stats.pool_bytes_peak.max(self.pool_bytes);
                 self.entries.insert(
                     key,
@@ -383,7 +352,6 @@ impl<B: OffloadBackend> Zswap<B> {
                             len: page.len(),
                         },
                         footprint,
-                        device: 0,
                     },
                 );
                 self.lru.push_back(key);
@@ -404,12 +372,6 @@ impl<B: OffloadBackend> Zswap<B> {
                 };
             }
         }
-        // Swap-out placement is the backend's call: round-robin by store
-        // sequence by default, coldest-device when the adaptive bias
-        // daemon has published region temperatures. Swap-in (below) still
-        // pins to the card holding the entry's bytes.
-        self.backend.place_store(self.stats.stored);
-        let device = self.backend.last_device();
         // Degraded mode: a stall fault is the offload descriptor dying
         // (no completion record inside the kernel's wait); after waiting
         // it out, compression re-runs on the host CPU path.
@@ -455,14 +417,12 @@ impl<B: OffloadBackend> Zswap<B> {
         let (t, evict_cpu) = self.make_room(footprint, out.completion, host);
         cpu += evict_cpu;
         self.pool_bytes += footprint;
-        *self.dev_slot(device) += footprint;
         self.stats.pool_bytes_peak = self.stats.pool_bytes_peak.max(self.pool_bytes);
         self.entries.insert(
             key,
             ZswapEntry {
                 page: StoredPage::Compressed(cp),
                 footprint,
-                device,
             },
         );
         self.lru.push_back(key);
@@ -492,7 +452,6 @@ impl<B: OffloadBackend> Zswap<B> {
     ) -> Option<(PageData, ZswapOp)> {
         if let Some(entry) = self.entries.remove(&key) {
             self.pool_bytes -= entry.footprint;
-            *self.dev_slot(entry.device) -= entry.footprint;
             self.lru.retain(|&k| k != key);
             self.stats.pool_hits += 1;
             return Some(match entry.page {
@@ -505,9 +464,6 @@ impl<B: OffloadBackend> Zswap<B> {
                             bytes: cp.compressed_len() as u64,
                         },
                     );
-                    // Swap-in is pinned to the card whose zpool slice
-                    // holds the compressed bytes.
-                    self.backend.select_device(entry.device as u64);
                     let out = self.backend.decompress(&cp, now, host);
                     let (value, completion, host_cpu) = if self.injector.poison_line(now) {
                         // The offload response carried the poison bit:
@@ -586,7 +542,6 @@ impl<B: OffloadBackend> Zswap<B> {
     pub fn invalidate(&mut self, key: SwapKey) {
         if let Some(e) = self.entries.remove(&key) {
             self.pool_bytes -= e.footprint;
-            *self.dev_slot(e.device) -= e.footprint;
             self.lru.retain(|&k| k != key);
             trace::emit(
                 Time::ZERO,
@@ -682,41 +637,6 @@ mod tests {
         assert!(after[1] > 0);
         assert!(z.stats().writebacks > 0, "evictions are disk writebacks");
         assert_eq!(after[0] + after[1], z.pool_entries());
-    }
-
-    #[test]
-    fn store_placement_follows_published_temperatures() {
-        use crate::offload::PooledCxlBackend;
-        let mut h = host();
-        let mut z = Zswap::new(
-            ZswapConfig::kernel_default(64 << 20),
-            PooledCxlBackend::symmetric(3),
-        );
-        let mut rng = SimRng::seed_from(3);
-        let mut now = Time::ZERO;
-
-        // No temperatures published: round-robin by store sequence.
-        let mut devices = Vec::new();
-        for slot in 0..3 {
-            let page = PageContent::Text.generate(&mut rng);
-            now = z.store(SwapKey(slot), &page, now, &mut h).completion;
-            devices.push(z.backend().last_device());
-        }
-        assert_eq!(devices, vec![0, 1, 2], "default placement interleaves");
-
-        // Daemon publishes hotness: device 1 is coldest, so every new
-        // store steers there.
-        z.backend_mut().set_device_temperatures(&[5.0, 0.5, 2.0]);
-        for slot in 3..6 {
-            let page = PageContent::Text.generate(&mut rng);
-            now = z.store(SwapKey(slot), &page, now, &mut h).completion;
-            assert_eq!(z.backend().last_device(), 1, "stores steer coldest");
-        }
-
-        // Swap-in still pins to the card holding the bytes, temperature
-        // or not: key 0 was stored on device 0.
-        let (_, _) = z.load(SwapKey(0), now, &mut h).unwrap();
-        assert_eq!(z.backend().last_device(), 0, "swap-in pins to owner");
     }
 
     #[test]
@@ -836,46 +756,14 @@ mod tests {
     }
 
     #[test]
-    fn pooled_backend_interleaves_stores_and_scales_capacity() {
-        use crate::offload::PooledCxlBackend;
-        let mut h = host();
-        let cfg = ZswapConfig {
-            max_pool_bytes: 4096,
-            accept_threshold: 1.0,
-            same_filled_enabled: false,
-        };
-        let mut z = Zswap::new(cfg, PooledCxlBackend::symmetric(4));
-        assert_eq!(z.pool_capacity_bytes(), 4 * 4096, "capacity pools");
-        let mut rng = SimRng::seed_from(7);
-        let mut t = Time::ZERO;
-        for i in 0..8 {
-            let page = PageContent::Text.generate(&mut rng);
-            t = z.store(SwapKey(i), &page, t, &mut h).completion;
-        }
-        let per_dev = z.pool_bytes_per_device().to_vec();
-        assert_eq!(per_dev.len(), 4);
-        assert!(
-            per_dev.iter().all(|&b| b > 0),
-            "round-robin spreads swap-out over every card: {per_dev:?}"
-        );
-        assert_eq!(per_dev.iter().sum::<u64>(), z.pool_bytes());
-        // Swap-in round-trips regardless of which card holds the entry.
-        for i in 0..8 {
-            let (_, op) = z.load(SwapKey(i), t, &mut h).unwrap();
-            assert!(op.hit_pool);
-        }
-        assert_eq!(z.pool_bytes(), 0);
-        assert!(z.pool_bytes_per_device().iter().all(|&b| b == 0));
-    }
-
-    #[test]
     fn single_device_pool_accounting_matches_total() {
         let mut h = host();
         let mut z = Zswap::new(ZswapConfig::kernel_default(64 << 20), CpuBackend::new());
         let mut rng = SimRng::seed_from(8);
         let page = PageContent::Text.generate(&mut rng);
         z.store(SwapKey(1), &page, Time::ZERO, &mut h);
-        assert_eq!(z.pool_bytes_per_device(), &[z.pool_bytes()]);
+        let resident: u64 = z.entries.values().map(|e| e.footprint).sum();
+        assert_eq!(resident, z.pool_bytes());
         assert_eq!(
             z.pool_capacity_bytes(),
             ZswapConfig::kernel_default(64 << 20).max_pool_bytes

@@ -34,7 +34,7 @@ pub mod prelude {
     pub use crate::fleet::{
         run_fleet, run_fleet_checked, FleetReport, FleetSpec, QosConfig, TenantReport, TenantSpec,
     };
-    pub use crate::server::{merge_jobs, run_core, Job};
+    pub use crate::server::{run_core, Job};
     pub use crate::store::{KvStore, StoreStats};
     pub use crate::ycsb::{KeyDistribution, Op, YcsbWorkload};
 }

@@ -70,13 +70,6 @@ pub fn run_core(jobs: &[Job]) -> (Histogram, Duration) {
     (hist, busy)
 }
 
-/// Merges pre-sorted job streams into one arrival-ordered stream.
-pub fn merge_jobs(mut streams: Vec<Vec<Job>>) -> Vec<Job> {
-    let mut merged: Vec<Job> = streams.drain(..).flatten().collect();
-    merged.sort_by_key(|j| j.arrival);
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,19 +111,6 @@ mod tests {
         // The request waited for the 100us kernel slice.
         assert!(h.max() > Duration::from_micros(100));
         assert_eq!(busy, Duration::from_micros(110));
-    }
-
-    #[test]
-    fn merge_sorts_by_arrival() {
-        let merged = merge_jobs(vec![
-            vec![req(5_000, 1), req(9_000, 1)],
-            vec![kernel(7_000, 2)],
-        ]);
-        let arrivals: Vec<u64> = merged.iter().map(|j| j.arrival.as_picos()).collect();
-        let mut sorted = arrivals.clone();
-        sorted.sort_unstable();
-        assert_eq!(arrivals, sorted);
-        assert_eq!(merged.len(), 3);
     }
 
     #[test]
