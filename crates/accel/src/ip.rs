@@ -1,6 +1,6 @@
 //! Execution-engine timing for the offloaded data-plane functions.
 //!
-//! The same functions (compress, decompress, xxhash, byte-compare) run on
+//! The same functions (compress, decompress, xxhash, page compare) run on
 //! three engines in the paper's comparison: the host Xeon core (`cpu-*`),
 //! the BF-3's Arm cores (`pcie-rdma-*`), and the Agilex-7's streaming FPGA
 //! IPs (`pcie-dma-*` and `cxl-*`). §VI-A: the FPGA compression IP is
@@ -29,7 +29,7 @@ pub enum Function {
     Decompress,
     /// xxHash page checksum.
     Checksum,
-    /// Byte-by-byte page comparison.
+    /// Page comparison in byte order.
     Compare,
 }
 
@@ -100,9 +100,9 @@ impl Engine {
 pub fn pipeline_time(stages: &[Duration], chunks: u64) -> Duration {
     assert!(!stages.is_empty(), "pipeline needs at least one stage");
     assert!(chunks > 0, "pipeline needs at least one chunk");
-    let per_chunk: Vec<Duration> = stages.iter().map(|&s| s / chunks).collect();
-    let fill: Duration = per_chunk.iter().copied().sum();
-    let bottleneck = per_chunk.iter().copied().max().expect("non-empty stages");
+    let per_chunk = stages.iter().map(|&s| s / chunks);
+    let fill: Duration = per_chunk.clone().sum();
+    let bottleneck = per_chunk.max().expect("non-empty stages");
     fill + bottleneck * (chunks - 1)
 }
 

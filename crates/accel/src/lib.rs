@@ -7,8 +7,8 @@
 //!   validated against published test vectors;
 //! * [`lz`] — an LZ4-style block codec (zswap's page compressor), with a
 //!   real dictionary coder so zpool contents and ratios are genuine;
-//! * [`compare`] — byte-by-byte page comparison with first-difference
-//!   reporting (ksm's merge test and tree ordering);
+//! * [`compare`] — page comparison in byte order with first-difference
+//!   reporting (ksm's merge test and tree ordering), scanned word-wise;
 //! * [`ip`] — execution-time models for the three engines that run these
 //!   functions in the paper's comparison (host Xeon, BF-3 Arm core,
 //!   streaming FPGA IP) plus the chunk-level pipelining of Fig. 7.

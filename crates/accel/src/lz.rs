@@ -53,9 +53,34 @@ impl fmt::Display for DecompressError {
 
 impl std::error::Error for DecompressError {}
 
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes(bytes[..4].try_into().expect("4-byte window"));
+fn read4(input: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(input[i..i + 4].try_into().expect("4-byte window"))
+}
+
+fn read8(input: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(input[i..i + 8].try_into().expect("8-byte window"))
+}
+
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
+}
+
+/// Length of the common run of `input[a..]` and `input[b..]` (`a < b`),
+/// compared eight bytes at a time.
+fn common_len(input: &[u8], a: usize, b: usize) -> usize {
+    let n = input.len();
+    let mut len = 0;
+    while b + len + 8 <= n {
+        let diff = read8(input, a + len) ^ read8(input, b + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while b + len < n && input[a + len] == input[b + len] {
+        len += 1;
+    }
+    len
 }
 
 fn write_length(out: &mut Vec<u8>, mut len: usize) {
@@ -69,7 +94,9 @@ fn write_length(out: &mut Vec<u8>, mut len: usize) {
 /// Compresses `input` into a self-contained block.
 ///
 /// The output is never catastrophically larger than the input (worst case
-/// ≈ input + input/255 + 16 for incompressible data).
+/// ≈ input + input/255 + 16 for incompressible data). The match finder
+/// keeps positions as `u32`, so past 4 GiB of input it finds fewer matches;
+/// the block stays valid.
 ///
 /// # Examples
 ///
@@ -84,28 +111,28 @@ fn write_length(out: &mut Vec<u8>, mut len: usize) {
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     let n = input.len();
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    // Last position seen per hash. A zeroed slot reads as position 0; that
+    // is never a false match: position 0 writes its own slot at i = 0, so an
+    // unwritten slot's hash differs from position 0's and so do its bytes.
+    let mut table = [0u32; 1 << HASH_BITS];
     let mut anchor = 0; // start of pending literals
     let mut i = 0;
     // The last MIN_MATCH+1 bytes are always literals (simplifies the
     // decoder's copy loop, mirroring LZ4's end-of-block rule).
     let match_limit = n.saturating_sub(MIN_MATCH + 1);
     while i < match_limit {
-        let h = hash4(&input[i..]);
-        let candidate = table[h];
-        table[h] = i;
-        let is_match = candidate != usize::MAX
-            && i - candidate <= u16::MAX as usize
-            && input[candidate..candidate + MIN_MATCH] == input[i..i + MIN_MATCH];
+        let v = read4(input, i);
+        let h = hash4(v);
+        let candidate = table[h] as usize;
+        table[h] = i as u32;
+        let is_match = (read4(input, candidate) == v)
+            & (candidate < i)
+            & (i.wrapping_sub(candidate) <= u16::MAX as usize);
         if !is_match {
             i += 1;
             continue;
         }
-        // Extend the match forward.
-        let mut len = MIN_MATCH;
-        while i + len < n && input[candidate + len] == input[i + len] {
-            len += 1;
-        }
+        let len = MIN_MATCH + common_len(input, candidate + MIN_MATCH, i + MIN_MATCH);
         // Emit sequence: literals [anchor, i) + match (offset, len).
         let lit_len = i - anchor;
         let offset = i - candidate;

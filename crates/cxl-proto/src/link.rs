@@ -29,6 +29,10 @@ pub struct Link {
     propagation: Duration,
     gbps: f64,
     header_bytes: u64,
+    /// Serialization times of a header-only message and of a 64 B line,
+    /// computed once: nearly every message is one of the two.
+    header_only_time: Duration,
+    line_time: Duration,
     /// Serialization: when the transmitter frees up.
     tx_free_at: Time,
     messages: u64,
@@ -48,6 +52,8 @@ impl Link {
             propagation,
             gbps,
             header_bytes,
+            header_only_time: wire_time(0, gbps, header_bytes),
+            line_time: wire_time(64, gbps, header_bytes),
             tx_free_at: Time::ZERO,
             messages: 0,
             bytes: 0,
@@ -66,7 +72,11 @@ impl Link {
 
     /// Time to serialize `bytes` of payload (plus framing) onto the wire.
     pub fn serialization_time(&self, bytes: u64) -> Duration {
-        Duration::from_ns_f64((bytes + self.header_bytes) as f64 / self.gbps)
+        match bytes {
+            0 => self.header_only_time,
+            64 => self.line_time,
+            _ => wire_time(bytes, self.gbps, self.header_bytes),
+        }
     }
 
     /// Delivers a message of `bytes` payload entering the link at `now`;
@@ -90,6 +100,10 @@ impl Link {
     pub fn traffic(&self) -> (u64, u64) {
         (self.messages, self.bytes)
     }
+}
+
+fn wire_time(bytes: u64, gbps: f64, header_bytes: u64) -> Duration {
+    Duration::from_ns_f64((bytes + header_bytes) as f64 / gbps)
 }
 
 /// Builds the CXL 1.1-over-PCIe-5.0 ×16 link of the paper's Agilex-7

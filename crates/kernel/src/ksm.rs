@@ -4,7 +4,7 @@
 //! change hint. Stable pages are searched against two content-ordered
 //! trees: the *stable tree* of already-merged (write-protected) pages and
 //! the *unstable tree* of candidates seen this scan cycle. Identical pages
-//! merge into a single CoW copy. Both the hash and the byte-by-byte tree
+//! merge into a single CoW copy. Both the hash and the byte-order tree
 //! comparisons execute on the pluggable [`OffloadBackend`].
 
 use std::collections::HashMap;
@@ -312,9 +312,9 @@ impl<B: OffloadBackend> Ksm<B> {
             }
             Some(_) => {}
         }
-        // The tree walks insert copies and interleave borrows of the
-        // trees, pages, and backend; clone the page once here.
-        let page = self.pages[id.0].0.clone();
+        // The tree walks borrow the page, the trees and the backend as
+        // disjoint fields, so the page is never copied for a search.
+        let page = &self.pages[id.0].0;
         // Stable-tree search: each node comparison runs on the backend.
         let backend = &mut self.backend;
         let mut compare_timed = |a: &[u8], b: &[u8], t: &mut Time, cpu: &mut Duration| {
@@ -325,7 +325,7 @@ impl<B: OffloadBackend> Ksm<B> {
         };
         let (result, comparisons) = self
             .stable
-            .search_or_insert_probe(&page, |a, b| compare_timed(a, b, &mut t, &mut cpu));
+            .search_or_insert_probe(page, |a, b| compare_timed(a, b, &mut t, &mut cpu));
         self.stats.comparisons += comparisons;
         if let Some(stable_idx) = result {
             self.stable.nodes[stable_idx].sharers += 1;
@@ -358,17 +358,19 @@ impl<B: OffloadBackend> Ksm<B> {
         };
         let (search, comparisons) = self
             .unstable
-            .search_or_insert(&page, |a, b| compare_timed(a, b, &mut t, &mut cpu));
+            .search_or_insert(page, |a, b| compare_timed(a, b, &mut t, &mut cpu));
         self.stats.comparisons += comparisons;
         match search {
             TreeSearch::Found(_) => {
                 // Promote: create a stable node shared by both pages. The
                 // unstable twin is identified lazily when next scanned (as
                 // in the kernel, where the rmap item migrates).
-                let stable_idx = self.stable.insert_unbalanced(page.clone());
+                // The page's own frame is freed: its contents move into the
+                // new stable node.
+                let page = std::mem::take(&mut self.pages[id.0].0);
+                let stable_idx = self.stable.insert_unbalanced(page);
                 self.stable.nodes[stable_idx].sharers += 1;
                 self.pages[id.0].1 = PageState::Merged { stable: stable_idx };
-                self.pages[id.0].0 = Vec::new();
                 self.stats.pages_merged += 1;
                 self.stats.stable_nodes += 1;
                 trace::emit(

@@ -921,6 +921,49 @@ mod tests {
         assert_eq!(a.faults, b.faults);
     }
 
+    /// Every (feature × backend) cell's model outputs at the tiny scale,
+    /// pinned exactly: the page kernels and per-line timing may get faster
+    /// but must not move one picosecond of these. Compressed sizes do not
+    /// reach them here (host CPU is charged per input page and the zpool
+    /// never fills); the offload goldens in `tests/golden_trace.rs` pin
+    /// those.
+    #[test]
+    fn tiny_cells_pinned() {
+        // (ksm?, backend, [p99, p50, mean, requests, faults, feature host
+        // CPU]), durations in picoseconds.
+        #[rustfmt::skip]
+        const PINNED: [(bool, BackendKind, [u64; 6]); 10] = [
+            (false, BackendKind::None, [34078720, 14024704, 15027831, 1974, 0, 0]),
+            (false, BackendKind::Cpu, [306184192, 17039360, 30842292, 1974, 0, 45953467614]),
+            (false, BackendKind::PcieRdma, [40370176, 14811136, 16546004, 1974, 0, 22779950000]),
+            (false, BackendKind::PcieDma, [49807360, 14811136, 16917211, 1974, 0, 30123000000]),
+            (false, BackendKind::Cxl, [37224448, 14811136, 16137180, 1974, 0, 9212930820]),
+            (true, BackendKind::None, [31719424, 14024704, 14713349, 1971, 0, 0]),
+            (true, BackendKind::Cpu, [207618048, 15597568, 24665178, 1971, 0, 60148375374]),
+            (true, BackendKind::PcieRdma, [32768000, 14548992, 15240977, 1971, 0, 3308940000]),
+            (true, BackendKind::PcieDma, [32768000, 14548992, 15358578, 1971, 0, 13590600000]),
+            (true, BackendKind::Cxl, [33292288, 14548992, 15419162, 1971, 0, 15710080000]),
+        ];
+        let cfg = tiny();
+        for (ksm, kind, pinned) in PINNED {
+            let r = if ksm {
+                run_ksm(&cfg, YcsbWorkload::A, kind)
+            } else {
+                run_zswap(&cfg, YcsbWorkload::A, kind)
+            };
+            let got = [
+                r.p99.as_picos(),
+                r.p50.as_picos(),
+                r.mean.as_picos(),
+                r.requests,
+                r.faults,
+                r.feature_host_cpu.as_picos(),
+            ];
+            let feature = if ksm { "ksm" } else { "zswap" };
+            assert_eq!(got, pinned, "{feature} {}", kind.name());
+        }
+    }
+
     #[test]
     fn seed_fanout_is_thread_invariant() {
         let cfg = tiny();

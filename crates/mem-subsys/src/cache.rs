@@ -70,6 +70,12 @@ pub struct SetAssocCache {
     sets: Vec<Vec<Entry>>,
     ways: usize,
     num_sets: u64,
+    /// `ceil(2^64 / num_sets)`: the tag of `index` is the high word of
+    /// `index * recip` for every `index < fast_below`.
+    recip: u64,
+    /// `u64::MAX / num_sets`, or 0 for one set (whose reciprocal, 2^64,
+    /// does not fit); larger indices divide.
+    fast_below: u64,
     clock: u64,
     stats: CacheStats,
 }
@@ -94,10 +100,17 @@ impl SetAssocCache {
         );
         let num_sets = lines / ways as u64;
         assert!(num_sets > 0, "cache must have at least one set");
+        let (recip, fast_below) = if num_sets == 1 {
+            (0, 0)
+        } else {
+            (u64::MAX / num_sets + 1, u64::MAX / num_sets)
+        };
         SetAssocCache {
             sets: vec![Vec::with_capacity(ways); num_sets as usize],
             ways,
             num_sets,
+            recip,
+            fast_below,
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -128,12 +141,20 @@ impl SetAssocCache {
         self.stats
     }
 
-    fn set_index(&self, addr: LineAddr) -> usize {
-        (addr.index() % self.num_sets) as usize
-    }
-
-    fn tag(&self, addr: LineAddr) -> u64 {
-        addr.index() / self.num_sets
+    /// Splits a line index into (set, tag) = (`index % num_sets`,
+    /// `index / num_sets`) with one multiply instead of two divides. With
+    /// `recip = (2^64 + e) / num_sets`, `0 <= e < num_sets`, the product
+    /// overshoots `index / num_sets` by `index * e / (num_sets * 2^64)`,
+    /// which stays below `1 / num_sets` while `index < 2^64 / num_sets`, so
+    /// the floor is exact there.
+    fn split(&self, addr: LineAddr) -> (usize, u64) {
+        let index = addr.index();
+        let tag = if index < self.fast_below {
+            ((u128::from(index) * u128::from(self.recip)) >> 64) as u64
+        } else {
+            index / self.num_sets
+        };
+        ((index - tag * self.num_sets) as usize, tag)
     }
 
     fn addr_of(&self, set: usize, tag: u64) -> LineAddr {
@@ -142,15 +163,14 @@ impl SetAssocCache {
 
     /// Checks for the line without updating LRU order or counters.
     pub fn probe(&self, addr: LineAddr) -> Option<MesiState> {
-        let set = &self.sets[self.set_index(addr)];
-        let tag = self.tag(addr);
+        let (set_idx, tag) = self.split(addr);
+        let set = &self.sets[set_idx];
         set.iter().find(|e| e.tag == tag).map(|e| e.state)
     }
 
     /// Looks up the line, updating LRU recency and hit/miss counters.
     pub fn lookup(&mut self, addr: LineAddr) -> Option<MesiState> {
-        let set_idx = self.set_index(addr);
-        let tag = self.tag(addr);
+        let (set_idx, tag) = self.split(addr);
         self.clock += 1;
         let clock = self.clock;
         let found = self.sets[set_idx]
@@ -173,8 +193,7 @@ impl SetAssocCache {
     /// signals a required write-back.
     pub fn fill(&mut self, addr: LineAddr, state: MesiState) -> Option<Evicted> {
         assert!(state.is_valid(), "cannot fill a line in Invalid state");
-        let set_idx = self.set_index(addr);
-        let tag = self.tag(addr);
+        let (set_idx, tag) = self.split(addr);
         self.clock += 1;
         let clock = self.clock;
         if let Some(e) = self.sets[set_idx].iter_mut().find(|e| e.tag == tag) {
@@ -210,8 +229,7 @@ impl SetAssocCache {
         if !state.is_valid() {
             return self.invalidate(addr).is_some();
         }
-        let set_idx = self.set_index(addr);
-        let tag = self.tag(addr);
+        let (set_idx, tag) = self.split(addr);
         match self.sets[set_idx].iter_mut().find(|e| e.tag == tag) {
             Some(e) => {
                 e.state = state;
@@ -224,8 +242,7 @@ impl SetAssocCache {
     /// Removes the line, returning the state it held (callers write back
     /// `Modified` victims).
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<MesiState> {
-        let set_idx = self.set_index(addr);
-        let tag = self.tag(addr);
+        let (set_idx, tag) = self.split(addr);
         let pos = self.sets[set_idx].iter().position(|e| e.tag == tag)?;
         Some(self.sets[set_idx].swap_remove(pos).state)
     }
@@ -354,6 +371,37 @@ mod tests {
 
     fn line(i: u64) -> LineAddr {
         LineAddr::new(i)
+    }
+
+    #[test]
+    fn reciprocal_split_matches_divide() {
+        // (capacity, ways) of the device HMC (512 sets × 4) and DMC, the
+        // host L1, L2 and LLC (40 960 sets × 12) of
+        // `Socket::xeon_6538y_snc_half`, and 3 sets and 1 set.
+        let geometries = [
+            (128 * 1024, 4),
+            (32 * 1024, 1),
+            (48 * 1024, 12),
+            (2 * 1024 * 1024, 16),
+            (30 * 1024 * 1024, 12),
+            (3 * LINE_BYTES, 1),
+            (LINE_BYTES, 1),
+        ];
+        for (capacity, ways) in geometries {
+            let c = SetAssocCache::with_capacity(capacity, ways);
+            let d = c.num_sets;
+            let edge = u64::MAX / d;
+            let mut indices = vec![0, 1, d - 1, d, d + 1, u64::MAX - 1, u64::MAX];
+            indices.extend(edge.saturating_sub(3 * d)..=edge.saturating_add(3 * d));
+            indices.extend((0..4096).map(|k| k * 0x9E37_79B9 + k));
+            for index in indices {
+                assert_eq!(
+                    c.split(line(index)),
+                    ((index % d) as usize, index / d),
+                    "{d} sets, index {index:#x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -67,6 +67,8 @@ impl DramTech {
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     tech: DramTech,
+    /// `tech.line_transfer_time()`, computed once.
+    line_transfer: Duration,
     /// When the data bus frees up for the next line transfer.
     bus_free_at: Time,
     write_queue: WriteQueue,
@@ -78,10 +80,12 @@ impl MemoryController {
     /// Creates a controller for `tech` with a write queue of
     /// `write_queue_entries` 64 B entries.
     pub fn new(tech: DramTech, write_queue_entries: usize) -> Self {
+        let line_transfer = tech.line_transfer_time();
         MemoryController {
             tech,
+            line_transfer,
             bus_free_at: Time::ZERO,
-            write_queue: WriteQueue::new(write_queue_entries, tech.line_transfer_time()),
+            write_queue: WriteQueue::new(write_queue_entries, line_transfer),
             reads: 0,
             writes: 0,
         }
@@ -96,8 +100,8 @@ impl MemoryController {
     pub fn read(&mut self, now: Time) -> Time {
         self.reads += 1;
         let start = self.bus_free_at.max(now);
-        let done = start + self.tech.access_latency() + self.tech.line_transfer_time();
-        self.bus_free_at = start + self.tech.line_transfer_time();
+        let done = start + self.tech.access_latency() + self.line_transfer;
+        self.bus_free_at = start + self.line_transfer;
         done
     }
 
